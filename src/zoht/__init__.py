@@ -9,12 +9,7 @@ from .solvers import (
     RunTrace,
     SolverConfig,
     gradient_squared_decomposition,
-    run_fgzoht,
-    run_pm_szht,
-    run_sarah_szht,
     run_solver,
-    run_szoht,
-    run_vr_szht,
 )
 from .theory import (
     EpsilonConstants,
@@ -38,7 +33,7 @@ from .problems import (
     ridge_synthetic,
     surrogate_classifier,
 )
-from .zo import ZoEstimate, ZoEstimatorConfig, sample_direction, zo_full_gradient, zo_gradient
+from .zo import ZoEstimate, ZoEstimatorConfig, zo_gradient
 from .vr import (
     ExactComponentEstimator,
     GradientMemory,

@@ -68,7 +68,6 @@ def _add_run_options(sub, eta_default):
     sub.add_argument("--law", choices=[LAW_P_SAGA, LAW_SVRG_VARIANT], default=LAW_P_SAGA)
     sub.add_argument("--record-every", type=int, default=1)
     sub.add_argument("--select", choices=["final", "min"], default="final")
-    sub.add_argument("--data-seed", type=int, default=0)
     sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--svg", action="store_true", help="also emit SVG charts")
     sub.add_argument("--out", required=True, help="output directory")
@@ -88,6 +87,7 @@ def build_parser():
     rs.add_argument("--s2", type=int, default=5)
     rs.add_argument("--m", type=int, default=10)
     rs.add_argument("--budget", type=int, default=80_000)
+    rs.add_argument("--data-seed", type=int, default=0)
     _add_run_options(rs, DEFAULT_ETA_GRID)
 
     rc = subs.add_parser("ridge-csv", help="ridge benchmark on a CSV dataset")
@@ -112,6 +112,7 @@ def build_parser():
     at.add_argument("--s2", type=int, default=None, help="default: d")
     at.add_argument("--m", type=int, default=10)
     at.add_argument("--budget", type=int, default=600)
+    at.add_argument("--data-seed", type=int, default=0)
     _add_run_options(at, ATTACK_ETA_GRID)
 
     ct = subs.add_parser("check-theory", help="print closed-form constants")
@@ -126,44 +127,20 @@ def build_parser():
     return parser
 
 
-def _run_and_emit(spec, args):
-    result = run_experiment(spec, workers=args.workers)
-    paths = emit_csv(result, args.out)
-    if args.svg:
-        paths.append(emit_svg(result, "izo", args.out))
-        paths.append(emit_svg(result, "nht", args.out))
-    for token in spec.algorithms:
-        print("%s: best eta %g" % (token, result.best_eta[token]))
-    diverged = result.diverged_cells()
-    if diverged:
-        print("diverged cells: %d" % len(diverged))
-    print("wrote %d files to %s" % (len(paths), args.out))
-    return 0
-
-
-def _cmd_ridge_synthetic(args):
+def _problem(args):
+    """The (problem, problem_name) a run subcommand's arguments describe."""
+    if args.command == "ridge-csv":
+        return (ridge_from_csv(args.file, args.target, args.lam),
+                "ridge-csv:%s" % args.file)
     rng = spawn_stream(args.data_seed, "data-gen")
-    problem = ridge_synthetic(args.n, args.d, args.lam, rng)
-    spec = ExperimentSpec(
-        problem=problem,
-        algorithms=args.algos,
-        k=args.k,
-        zo=ZoEstimatorConfig(q=args.q, s2=args.s2, mu=args.mu, d=args.d),
-        eta_grid=args.eta_grid,
-        seeds=args.seeds,
-        izo_budget=args.budget,
-        m=args.m,
-        p=args.p,
-        law=args.law,
-        record_every=args.record_every,
-        select=args.select,
-        problem_name="ridge-synthetic",
-    )
-    return _run_and_emit(spec, args)
+    if args.command == "attack-surrogate":
+        return (attack_surrogate_problem(args.n, args.d, args.classes, rng),
+                "attack-surrogate")
+    return ridge_synthetic(args.n, args.d, args.lam, rng), "ridge-synthetic"
 
 
-def _cmd_ridge_csv(args):
-    problem = ridge_from_csv(args.file, args.target, args.lam)
+def _cmd_run(args):
+    problem, problem_name = _problem(args)
     s2 = problem.d if args.s2 is None else args.s2
     m = max(problem.n // 2, 1) if args.m is None else args.m
     spec = ExperimentSpec(
@@ -179,31 +156,20 @@ def _cmd_ridge_csv(args):
         law=args.law,
         record_every=args.record_every,
         select=args.select,
-        problem_name="ridge-csv:%s" % args.file,
+        problem_name=problem_name,
     )
-    return _run_and_emit(spec, args)
-
-
-def _cmd_attack(args):
-    rng = spawn_stream(args.data_seed, "data-gen")
-    problem = attack_surrogate_problem(args.n, args.d, args.classes, rng)
-    s2 = args.d if args.s2 is None else args.s2
-    spec = ExperimentSpec(
-        problem=problem,
-        algorithms=args.algos,
-        k=args.k,
-        zo=ZoEstimatorConfig(q=args.q, s2=s2, mu=args.mu, d=args.d),
-        eta_grid=args.eta_grid,
-        seeds=args.seeds,
-        izo_budget=args.budget,
-        m=args.m,
-        p=args.p,
-        law=args.law,
-        record_every=args.record_every,
-        select=args.select,
-        problem_name="attack-surrogate",
-    )
-    return _run_and_emit(spec, args)
+    result = run_experiment(spec, workers=args.workers)
+    paths = emit_csv(result, args.out)
+    if args.svg:
+        paths.append(emit_svg(result, "izo", args.out))
+        paths.append(emit_svg(result, "nht", args.out))
+    for token in spec.algorithms:
+        print("%s: best eta %g" % (token, result.best_eta[token]))
+    diverged = result.diverged_cells()
+    if diverged:
+        print("diverged cells: %d" % len(diverged))
+    print("wrote %d files to %s" % (len(paths), args.out))
+    return 0
 
 
 def _cmd_check_theory(args):
@@ -251,9 +217,9 @@ def _fmt_interval(iv):
 
 
 _COMMANDS = {
-    "ridge-synthetic": _cmd_ridge_synthetic,
-    "ridge-csv": _cmd_ridge_csv,
-    "attack-surrogate": _cmd_attack,
+    "ridge-synthetic": _cmd_run,
+    "ridge-csv": _cmd_run,
+    "attack-surrogate": _cmd_run,
     "check-theory": _cmd_check_theory,
 }
 

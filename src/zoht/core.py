@@ -55,17 +55,6 @@ def nnz(v):
     return int(np.count_nonzero(v))
 
 
-def restrict_to(v, indices):
-    """Zero all coordinates outside ``indices``; returns a new vector."""
-    out = np.zeros_like(v)
-    out[indices] = v[indices]
-    return out
-
-
-def norm2(v):
-    return float(np.linalg.norm(v))
-
-
 def norm_inf(v):
     return float(np.max(np.abs(v))) if v.size else 0.0
 
@@ -73,8 +62,9 @@ def norm_inf(v):
 class QueryCounters:
     """Mutable per-run oracle accounting.
 
-    izo counts single component evaluations f_i; nht counts
-    hard-thresholding applications. Both are monotone during a run.
+    izo counts single component evaluations f_i (charged in
+    ``zo.zo_gradient``); nht counts hard-thresholding applications
+    (charged in ``ht.hard_threshold``). Both are monotone during a run.
     """
 
     __slots__ = ("izo", "nht")
@@ -82,12 +72,6 @@ class QueryCounters:
     def __init__(self, izo=0, nht=0):
         self.izo = int(izo)
         self.nht = int(nht)
-
-    def add_izo(self, k=1):
-        self.izo += int(k)
-
-    def add_nht(self, k=1):
-        self.nht += int(k)
 
     def __repr__(self):
         return "QueryCounters(izo=%d, nht=%d)" % (self.izo, self.nht)
@@ -101,8 +85,8 @@ class FunctionOracle:
     ``component_gradient`` (used by first-order baselines and test stubs)
     and set ``minimizer`` when a ground-truth parameter is known.
 
-    Counted entry points (``eval_component`` / ``eval_mean``) charge the
-    supplied QueryCounters; the raw methods are the uncounted handle used
+    No method here charges IZO: ``zo.zo_gradient`` charges each
+    evaluation it makes, and direct calls are the uncounted handle used
     for out-of-band measurement (e.g. trace function values).
     """
 
@@ -126,18 +110,6 @@ class FunctionOracle:
         for i in range(1, self.n):
             g += self.component_gradient(i, theta)
         return g / self.n
-
-    def eval_component(self, i, theta, counters):
-        """f_i(theta); charges 1 IZO."""
-        if counters is not None:
-            counters.izo += 1
-        return self.component(i, theta)
-
-    def eval_mean(self, theta, counters=None):
-        """F(theta); charges n IZO when counters are supplied."""
-        if counters is not None:
-            counters.izo += self.n
-        return self.mean_value(theta)
 
     def has_exact_gradients(self):
         return type(self).component_gradient is not FunctionOracle.component_gradient

@@ -34,7 +34,7 @@ from .vr import (
     svrg_gradient,
     take_snapshot,
 )
-from .zo import ZoEstimatorConfig, zo_full_gradient, zo_gradient
+from .zo import ZoEstimatorConfig, zo_gradient  # zo_gradient: hooked by bench/tracer.py
 
 ALGORITHMS = ("fgzoht", "szoht", "pm-szht", "vr-szht", "sarah-szht")
 
@@ -68,6 +68,8 @@ class SolverConfig:
             raise ValueError("need 0 <= k <= d")
         if self.algorithm in ("vr-szht", "sarah-szht") and (self.m is None or self.m < 1):
             raise ValueError("%s needs m >= 1" % self.algorithm)
+        if self.algorithm == "pm-szht" and self.p is None:
+            raise ValueError("pm-szht needs the memory update rate p")
         if self.anchor not in ("last", "random-inner"):
             raise ValueError("anchor must be 'last' or 'random-inner'")
         if self.record_every < 1:
@@ -101,8 +103,9 @@ class RunTrace:
 
 
 class _Run:
-    """Shared loop plumbing: streams, counters, trace rows, divergence
-    guard, and the budget gate."""
+    """One solver run: streams, counters, the component estimator, step
+    tallies, trace rows, divergence guard, and the budget gate. The five
+    algorithm bodies are its private methods, registered in _RUNNERS."""
 
     def __init__(self, oracle, cfg):
         if cfg.izo_budget < oracle.n * (cfg.zo.q + 1):
@@ -115,9 +118,12 @@ class _Run:
         self.oracle = oracle
         self.cfg = cfg
         self.counters = QueryCounters()
-        self.dir_rng = spawn_stream(cfg.seed, "directions")
         self.idx_rng = spawn_stream(cfg.seed, "indices")
         self.mem_rng = spawn_stream(cfg.seed, "memory-sets")
+        self.est = ZoComponentEstimator(
+            oracle, cfg.zo, spawn_stream(cfg.seed, "directions"), self.counters,
+            cfg.shared_directions,
+        )
         self.theta = (
             np.zeros(cfg.zo.d) if cfg.theta0 is None else np.array(cfg.theta0, float)
         )
@@ -125,6 +131,7 @@ class _Run:
             raise ValueError("theta0 shape mismatch")
         self.rows = []
         self.steps_done = 0
+        self.iterations = self.epochs = self.inner_steps = self.memory_updates = 0
         self.diverged = False
         f0 = oracle.mean_value(self.theta)
         if not np.isfinite(f0):
@@ -139,14 +146,13 @@ class _Run:
     def sample_index(self):
         return int(self.idx_rng.integers(self.oracle.n))
 
-    def descend(self, grad):
-        """Gradient step + threshold (1 NHT); records and guards."""
-        self.theta = hard_threshold(
-            self.theta - self.cfg.eta * grad, self.cfg.k, self.counters
-        ).vector
-        self._after_step()
-
-    def _after_step(self):
+    def descend(self, grad, threshold=True):
+        """Gradient step, then threshold (1 NHT) unless ``threshold`` is
+        False; records and guards."""
+        theta = self.theta - self.cfg.eta * grad
+        if threshold:
+            theta = hard_threshold(theta, self.cfg.k, self.counters).vector
+        self.theta = theta
         self.steps_done += 1
         fval = self.oracle.mean_value(self.theta)
         if not np.isfinite(fval) or fval > self.guard_level:
@@ -159,7 +165,7 @@ class _Run:
                 (self.counters.izo, self.counters.nht, fval, nnz(self.theta))
             )
 
-    def finish(self, **tallies):
+    def finish(self):
         fval = self.oracle.mean_value(self.theta)
         if np.isfinite(fval) and fval <= self.guard_level and (
             not self.rows or self.rows[-1][0] < self.counters.izo
@@ -175,133 +181,98 @@ class _Run:
             izo=self.counters.izo,
             nht=self.counters.nht,
             diverged=self.diverged,
-            **tallies,
+            iterations=self.iterations,
+            epochs=self.epochs,
+            inner_steps=self.inner_steps,
+            memory_updates=self.memory_updates,
         )
 
+    def _szoht(self):
+        """One uniformly random component estimate per iteration (q+1 IZO,
+        1 NHT)."""
+        while self.budget_left():
+            i = self.sample_index()
+            self.descend(self.est.estimate(i, self.theta))
+            self.iterations += 1
 
-def run_szoht(oracle, cfg):
-    """One uniformly random component estimate per iteration (q+1 IZO,
-    1 NHT)."""
-    run = _Run(oracle, cfg)
-    iterations = 0
-    while run.budget_left():
-        i = run.sample_index()
-        est = zo_gradient(
-            lambda th, i=i: oracle.component(i, th),
-            run.theta, cfg.zo, run.dir_rng, run.counters,
-        )
-        run.descend(est.gradient)
-        iterations += 1
-    return run.finish(iterations=iterations)
+    def _fgzoht(self):
+        """Full zeroth-order gradient per iteration (n(q+1) IZO, 1 NHT)."""
+        while self.budget_left():
+            self.descend(self.est.full(self.theta))
+            self.iterations += 1
 
+    def _pm_szht(self):
+        """Memory-table solver: refresh a random row set, then take one
+        three-term step. Init fills the table with a full pass (n(q+1) IZO);
+        each iteration costs (|J|+1)(q+1) IZO and 1 NHT."""
+        mem = init_gradient_memory(self.est, self.theta, self.cfg.p, self.cfg.law)
+        while self.budget_left():
+            memory_update(mem, self.theta, self.est, self.mem_rng)
+            i = self.sample_index()
+            self.descend(pm_gradient(mem, self.theta, i, self.est))
+            self.iterations += 1
+        self.memory_updates = mem.total_updates
 
-def run_fgzoht(oracle, cfg):
-    """Full zeroth-order gradient per iteration (n(q+1) IZO, 1 NHT)."""
-    run = _Run(oracle, cfg)
-    iterations = 0
-    while run.budget_left():
-        est = zo_full_gradient(oracle, run.theta, cfg.zo, run.dir_rng, run.counters)
-        run.descend(est.gradient)
-        iterations += 1
-    return run.finish(iterations=iterations)
+    def _vr_szht(self):
+        """Snapshot solver: refresh the anchor full gradient each epoch
+        (n(q+1) IZO), then m inner steps of 2(q+1) IZO and 1 NHT each. The
+        next anchor is the last inner iterate by default; "random-inner"
+        hands off a uniformly random one instead."""
+        while self.budget_left():
+            snap = take_snapshot(self.est, self.theta)
+            self.epochs += 1
+            inner_iterates = []
+            for _ in range(self.cfg.m):
+                if not self.budget_left():
+                    break
+                i = self.sample_index()
+                self.descend(svrg_gradient(snap, self.theta, i, self.est))
+                self.inner_steps += 1
+                inner_iterates.append(self.theta)
+            if self.cfg.anchor == "random-inner" and inner_iterates:
+                pick = int(self.idx_rng.integers(len(inner_iterates)))
+                self.theta = inner_iterates[pick]
 
-
-def run_pm_szht(oracle, cfg):
-    """Memory-table solver: refresh a random row set, then take one
-    three-term step. Init fills the table with a full pass (n(q+1) IZO);
-    each iteration costs (|J|+1)(q+1) IZO and 1 NHT."""
-    if cfg.p is None:
-        raise ValueError("pm-szht needs the memory update rate p")
-    run = _Run(oracle, cfg)
-    estimator = ZoComponentEstimator(
-        oracle, cfg.zo, run.dir_rng, run.counters, cfg.shared_directions
-    )
-    mem = init_gradient_memory(estimator, run.theta, cfg.p, cfg.law)
-    iterations = 0
-    while run.budget_left():
-        memory_update(mem, run.theta, estimator, run.mem_rng)
-        i = run.sample_index()
-        grad = pm_gradient(mem, run.theta, i, estimator)
-        run.descend(grad)
-        iterations += 1
-    return run.finish(iterations=iterations, memory_updates=mem.total_updates)
-
-
-def run_vr_szht(oracle, cfg):
-    """Snapshot solver: refresh the anchor full gradient each epoch
-    (n(q+1) IZO), then m inner steps of 2(q+1) IZO and 1 NHT each. The
-    next anchor is the last inner iterate by default; "random-inner"
-    hands off a uniformly random one instead."""
-    run = _Run(oracle, cfg)
-    estimator = ZoComponentEstimator(
-        oracle, cfg.zo, run.dir_rng, run.counters, cfg.shared_directions
-    )
-    epochs = inner_steps = 0
-    while run.budget_left():
-        snap = take_snapshot(estimator, run.theta)
-        epochs += 1
-        inner_iterates = []
-        for _ in range(cfg.m):
-            if not run.budget_left():
-                break
-            i = run.sample_index()
-            grad = svrg_gradient(snap, run.theta, i, estimator)
-            run.descend(grad)
-            snap.age += 1
-            inner_steps += 1
-            inner_iterates.append(run.theta)
-        if cfg.anchor == "random-inner" and inner_iterates:
-            run.theta = inner_iterates[int(run.idx_rng.integers(len(inner_iterates)))]
-    return run.finish(epochs=epochs, inner_steps=inner_steps)
-
-
-def run_sarah_szht(oracle, cfg):
-    """Recursive-difference solver. Each epoch: full estimate (n(q+1)
-    IZO), a first step reusing it, then m-1 recursion steps of 2(q+1)
-    IZO. Every step thresholds (sparsity invariant) unless
-    sarah_first_step_raw restores the unthresholded first step. The
-    epoch output is the iterate at a uniformly random inner index."""
-    run = _Run(oracle, cfg)
-    estimator = ZoComponentEstimator(
-        oracle, cfg.zo, run.dir_rng, run.counters, cfg.shared_directions
-    )
-    epochs = inner_steps = 0
-    while run.budget_left():
-        state = sarah_init(estimator, run.theta)
-        epochs += 1
-        epoch_iterates = [run.theta]
-        if cfg.sarah_first_step_raw:
-            run.theta = run.theta - cfg.eta * state.g_prev
-            run._after_step()
-        else:
-            run.descend(state.g_prev)
-        inner_steps += 1
-        epoch_iterates.append(run.theta)
-        for _ in range(1, cfg.m):
-            if not run.budget_left():
-                break
-            i = run.sample_index()
-            grad, state = sarah_step(state, run.theta, i, estimator)
-            run.descend(grad)
-            inner_steps += 1
-            epoch_iterates.append(run.theta)
-        pick = int(run.idx_rng.integers(len(epoch_iterates)))
-        run.theta = epoch_iterates[pick]
-    return run.finish(epochs=epochs, inner_steps=inner_steps)
+    def _sarah_szht(self):
+        """Recursive-difference solver. Each epoch: full estimate (n(q+1)
+        IZO), a first step reusing it, then m-1 recursion steps of 2(q+1)
+        IZO. Every step thresholds (sparsity invariant) unless
+        sarah_first_step_raw restores the unthresholded first step. The
+        epoch output is the iterate at a uniformly random inner index."""
+        while self.budget_left():
+            state = sarah_init(self.est, self.theta)
+            self.epochs += 1
+            epoch_iterates = [self.theta]
+            self.descend(state.g_prev, threshold=not self.cfg.sarah_first_step_raw)
+            self.inner_steps += 1
+            epoch_iterates.append(self.theta)
+            for _ in range(1, self.cfg.m):
+                if not self.budget_left():
+                    break
+                i = self.sample_index()
+                grad, state = sarah_step(state, self.theta, i, self.est)
+                self.descend(grad)
+                self.inner_steps += 1
+                epoch_iterates.append(self.theta)
+            pick = int(self.idx_rng.integers(len(epoch_iterates)))
+            self.theta = epoch_iterates[pick]
 
 
 _RUNNERS = {
-    "szoht": run_szoht,
-    "fgzoht": run_fgzoht,
-    "pm-szht": run_pm_szht,
-    "vr-szht": run_vr_szht,
-    "sarah-szht": run_sarah_szht,
+    "szoht": _Run._szoht,
+    "fgzoht": _Run._fgzoht,
+    "pm-szht": _Run._pm_szht,
+    "vr-szht": _Run._vr_szht,
+    "sarah-szht": _Run._sarah_szht,
 }
 
 
 def run_solver(oracle, cfg):
-    """Dispatch on cfg.algorithm."""
-    return _RUNNERS[cfg.algorithm](oracle, cfg)
+    """Run cfg.algorithm on the oracle until the IZO budget is spent or
+    the divergence guard trips; the only solver entry point."""
+    run = _Run(oracle, cfg)
+    _RUNNERS[cfg.algorithm](run)
+    return run.finish()
 
 
 def expected_izo(oracle_n, trace):

@@ -154,7 +154,6 @@ def pm_gradient(mem, theta, i_r, estimator):
 class SvrgSnapshot:
     anchor: np.ndarray
     anchor_grad: np.ndarray   # full-gradient estimate at the anchor
-    age: int = 0
 
 
 def take_snapshot(estimator, theta):

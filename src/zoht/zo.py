@@ -78,11 +78,6 @@ def sample_directions(d, s2, q, rng):
     return u / norms[:, None]
 
 
-def sample_direction(d, s2, rng):
-    """Single random sparse unit direction."""
-    return sample_directions(d, s2, 1, rng)[0]
-
-
 def _check_mu(cfg, theta):
     if cfg.mu < MU_FLOOR_SCALE * (1.0 + norm_inf(theta)):
         raise ValueError(
@@ -124,23 +119,3 @@ def zo_gradient(f, theta, cfg, rng, counters=None, directions=None):
     grad = (cfg.d / (cfg.q * cfg.mu)) * ((values - base) @ directions)
     union = np.flatnonzero(np.any(directions != 0.0, axis=0))
     return ZoEstimate(gradient=grad, izo_cost=cfg.q + 1, directions_support=union)
-
-
-def zo_full_gradient(oracle, theta, cfg, rng, counters=None):
-    """Mean of per-component estimates, fresh directions per component.
-
-    Costs n * (q + 1) IZO.
-    """
-    total = np.zeros(cfg.d)
-    union = np.zeros(cfg.d, dtype=bool)
-    for i in range(oracle.n):
-        est = zo_gradient(
-            lambda th, i=i: oracle.component(i, th), theta, cfg, rng, counters
-        )
-        total += est.gradient
-        union[est.directions_support] = True
-    return ZoEstimate(
-        gradient=total / oracle.n,
-        izo_cost=oracle.n * (cfg.q + 1),
-        directions_support=np.flatnonzero(union),
-    )

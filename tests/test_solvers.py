@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,7 @@ from zoht.solvers import (
     SolverConfig,
     expected_izo,
     gradient_squared_decomposition,
-    run_fgzoht,
-    run_pm_szht,
-    run_sarah_szht,
     run_solver,
-    run_szoht,
-    run_vr_szht,
 )
 from zoht.vr import ExactComponentEstimator, svrg_gradient, take_snapshot
 from zoht.zo import ZoEstimatorConfig
@@ -47,7 +44,7 @@ def _cfg(algorithm, *, eta, k, zo, budget, seed, **kw):
 def test_szoht_per_iteration_deltas():
     problem = ridge_synthetic(5, 4, 0.1, spawn_stream(0, "data-gen"))
     zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
-    trace = run_szoht(problem, _cfg("szoht", eta=0.01, k=2, zo=zo, budget=200, seed=1))
+    trace = run_solver(problem, _cfg("szoht", eta=0.01, k=2, zo=zo, budget=200, seed=1))
     izo = trace.column("izo")
     nht = trace.column("nht")
     assert np.all(np.diff(izo) == 11)
@@ -58,7 +55,7 @@ def test_szoht_per_iteration_deltas():
 def test_zero_eta_freezes_after_first_threshold():
     problem = ridge_synthetic(4, 3, 0.2, spawn_stream(1, "data-gen"))
     zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
-    trace = run_szoht(
+    trace = run_solver(
         problem,
         _cfg("szoht", eta=0.0, k=2, zo=zo, budget=120, seed=2,
              theta0=np.array([1.0, -2.0, 0.5])),
@@ -73,7 +70,7 @@ def test_zero_eta_freezes_after_first_threshold():
 def test_fgzoht_izo_per_iteration():
     problem = ridge_synthetic(10, 5, 0.5, spawn_stream(2, "data-gen"))
     zo = ZoEstimatorConfig(q=200, s2=5, mu=1e-4, d=5)
-    trace = run_fgzoht(problem, _cfg("fgzoht", eta=0.05, k=3, zo=zo, budget=2010, seed=3))
+    trace = run_solver(problem, _cfg("fgzoht", eta=0.05, k=3, zo=zo, budget=2010, seed=3))
     assert trace.iterations == 1
     assert trace.izo == 2010
 
@@ -81,8 +78,8 @@ def test_fgzoht_izo_per_iteration():
 def test_fgzoht_matches_szoht_for_single_component():
     problem = ridge_synthetic(1, 3, 0.1, spawn_stream(3, "data-gen"), standardize=False)
     zo = ZoEstimatorConfig(q=8, s2=3, mu=1e-4, d=3)
-    a = run_szoht(problem, _cfg("szoht", eta=0.1, k=2, zo=zo, budget=100, seed=4))
-    b = run_fgzoht(problem, _cfg("fgzoht", eta=0.1, k=2, zo=zo, budget=100, seed=4))
+    a = run_solver(problem, _cfg("szoht", eta=0.1, k=2, zo=zo, budget=100, seed=4))
+    b = run_solver(problem, _cfg("fgzoht", eta=0.1, k=2, zo=zo, budget=100, seed=4))
     assert a.rows == b.rows
     np.testing.assert_array_equal(a.final_theta, b.final_theta)
 
@@ -93,7 +90,7 @@ def test_szoht_contracts_on_simple_quadratic():
     target = np.array([0.0, 0.0, 1.3, 0.0, 0.0])
     problem = RepeatedQuadratic(target, n=4)
     zo = ZoEstimatorConfig(q=50, s2=5, mu=1e-6, d=5)
-    trace = run_szoht(
+    trace = run_solver(
         problem, _cfg("szoht", eta=0.2, k=1, zo=zo, budget=20_000, seed=5)
     )
     assert np.linalg.norm(trace.final_theta - target) <= 1e-3
@@ -103,7 +100,7 @@ def test_fgzoht_monotone_decrease_small_eta():
     problem = ridge_synthetic(3, 4, 0.2, spawn_stream(4, "data-gen"))
     zo = ZoEstimatorConfig(q=500, s2=4, mu=1e-8, d=4)
     budget = 50 * 3 * 501
-    trace = run_fgzoht(
+    trace = run_solver(
         problem, _cfg("fgzoht", eta=0.02, k=4, zo=zo, budget=budget, seed=6)
     )
     fvals = trace.column("fval")
@@ -114,7 +111,7 @@ def test_fgzoht_monotone_decrease_small_eta():
 def test_pm_full_refresh_izo():
     problem = ridge_synthetic(6, 4, 0.3, spawn_stream(5, "data-gen"))
     zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
-    trace = run_pm_szht(
+    trace = run_solver(
         problem,
         _cfg("pm-szht", eta=0.02, k=2, zo=zo, budget=800, seed=7, p=6),
     )
@@ -128,7 +125,7 @@ def test_pm_full_refresh_izo():
 def test_vr_epoch_izo_m_1():
     problem = ridge_synthetic(5, 3, 0.2, spawn_stream(6, "data-gen"))
     zo = ZoEstimatorConfig(q=10, s2=3, mu=1e-4, d=3)
-    trace = run_vr_szht(
+    trace = run_solver(
         problem, _cfg("vr-szht", eta=0.02, k=2, zo=zo, budget=600, seed=8, m=1)
     )
     # per epoch: n(q+1) + 2(q+1) = 55 + 22
@@ -140,7 +137,7 @@ def test_vr_epoch_izo_m_1():
 def test_sarah_m1_is_full_gradient_epochs():
     problem = ridge_synthetic(4, 3, 0.2, spawn_stream(7, "data-gen"))
     zo = ZoEstimatorConfig(q=10, s2=3, mu=1e-4, d=3)
-    trace = run_sarah_szht(
+    trace = run_solver(
         problem, _cfg("sarah-szht", eta=0.02, k=2, zo=zo, budget=400, seed=9, m=1)
     )
     izo = trace.column("izo")
@@ -151,7 +148,7 @@ def test_sarah_m1_is_full_gradient_epochs():
 def test_sarah_inner_step_cost():
     problem = ridge_synthetic(4, 3, 0.2, spawn_stream(8, "data-gen"))
     zo = ZoEstimatorConfig(q=10, s2=3, mu=1e-4, d=3)
-    trace = run_sarah_szht(
+    trace = run_solver(
         problem, _cfg("sarah-szht", eta=0.02, k=2, zo=zo, budget=500, seed=10, m=4)
     )
     izo = trace.column("izo")
@@ -165,13 +162,15 @@ def test_sarah_inner_step_cost():
 def test_all_solvers_seed_deterministic_and_sparse():
     problem = ridge_synthetic(6, 5, 0.3, spawn_stream(9, "data-gen"))
     zo = ZoEstimatorConfig(q=12, s2=5, mu=1e-4, d=5)
-    for algo in ("szoht", "fgzoht", "pm-szht", "vr-szht", "sarah-szht"):
+    algos = ("szoht", "fgzoht", "pm-szht", "vr-szht", "sarah-szht")
+    for algo, shared in itertools.product(algos, (False, True)):
         kw = {}
         if algo == "pm-szht":
             kw["p"] = 2
         if algo in ("vr-szht", "sarah-szht"):
             kw["m"] = 3
-        cfg = _cfg(algo, eta=0.05, k=3, zo=zo, budget=1500, seed=11, **kw)
+        cfg = _cfg(algo, eta=0.05, k=3, zo=zo, budget=1500, seed=11,
+                   shared_directions=shared, **kw)
         t1 = run_solver(problem, cfg)
         t2 = run_solver(problem, cfg)
         assert t1.rows == t2.rows
@@ -187,14 +186,14 @@ def test_budget_check_precedes_estimates():
     problem = ridge_synthetic(5, 4, 0.1, spawn_stream(10, "data-gen"))
     zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
     budget = 5 * 11 + 1  # one iteration beyond the full pass
-    trace = run_szoht(problem, _cfg("szoht", eta=0.01, k=2, zo=zo, budget=budget, seed=12))
+    trace = run_solver(problem, _cfg("szoht", eta=0.01, k=2, zo=zo, budget=budget, seed=12))
     assert trace.izo == 66  # ceil(56/11) = 6 iterations of 11
 
 
 def test_divergence_guard_aborts():
     problem = ridge_synthetic(5, 4, 0.1, spawn_stream(11, "data-gen"))
     zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
-    trace = run_szoht(
+    trace = run_solver(
         problem, _cfg("szoht", eta=1e9, k=4, zo=zo, budget=50_000, seed=13)
     )
     assert trace.diverged
@@ -207,7 +206,7 @@ def test_budget_below_full_pass_rejected():
     problem = ridge_synthetic(5, 4, 0.1, spawn_stream(12, "data-gen"))
     zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
     with pytest.raises(ValueError):
-        run_szoht(problem, _cfg("szoht", eta=0.01, k=2, zo=zo, budget=54, seed=14))
+        run_solver(problem, _cfg("szoht", eta=0.01, k=2, zo=zo, budget=54, seed=14))
 
 
 def test_vr_collapses_to_exact_descent_for_n_1():
@@ -230,8 +229,8 @@ def test_vr_collapses_to_exact_descent_for_n_1():
 def test_record_every_thins_but_keeps_last():
     problem = ridge_synthetic(5, 4, 0.1, spawn_stream(14, "data-gen"))
     zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
-    dense = run_szoht(problem, _cfg("szoht", eta=0.01, k=2, zo=zo, budget=550, seed=15))
-    thin = run_szoht(
+    dense = run_solver(problem, _cfg("szoht", eta=0.01, k=2, zo=zo, budget=550, seed=15))
+    thin = run_solver(
         problem,
         _cfg("szoht", eta=0.01, k=2, zo=zo, budget=550, seed=15, record_every=7),
     )
@@ -280,17 +279,19 @@ def test_config_validation():
         SolverConfig(algorithm="vr-szht", eta=0.1, k=2, zo=zo, izo_budget=100, seed=0)
     with pytest.raises(ValueError):
         SolverConfig(algorithm="szoht", eta=0.1, k=9, zo=zo, izo_budget=100, seed=0)
+    with pytest.raises(ValueError):
+        SolverConfig(algorithm="pm-szht", eta=0.1, k=2, zo=zo, izo_budget=100, seed=0)
 
 
 def test_vr_random_inner_anchor_variant():
     problem = ridge_synthetic(5, 4, 0.2, spawn_stream(20, "data-gen"))
     zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
     base = dict(eta=0.05, k=2, zo=zo, budget=2000, seed=21, m=4)
-    last = run_vr_szht(problem, _cfg("vr-szht", **base))
-    rand = run_vr_szht(problem, _cfg("vr-szht", anchor="random-inner", **base))
+    last = run_solver(problem, _cfg("vr-szht", **base))
+    rand = run_solver(problem, _cfg("vr-szht", anchor="random-inner", **base))
     # same accounting, deterministic, generally different trajectories
     assert rand.izo == last.izo
-    assert rand.rows == run_vr_szht(
+    assert rand.rows == run_solver(
         problem, _cfg("vr-szht", anchor="random-inner", **base)
     ).rows
     assert np.all(rand.column("nnz")[1:] <= 2)
@@ -300,8 +301,8 @@ def test_sarah_raw_first_step_skips_threshold():
     problem = ridge_synthetic(4, 4, 0.2, spawn_stream(22, "data-gen"))
     zo = ZoEstimatorConfig(q=8, s2=4, mu=1e-4, d=4)
     base = dict(eta=0.02, k=2, zo=zo, budget=600, seed=23, m=3)
-    thresholded = run_sarah_szht(problem, _cfg("sarah-szht", **base))
-    raw = run_sarah_szht(
+    thresholded = run_solver(problem, _cfg("sarah-szht", **base))
+    raw = run_solver(
         problem, _cfg("sarah-szht", sarah_first_step_raw=True, **base)
     )
     assert thresholded.nht == thresholded.inner_steps
@@ -313,7 +314,7 @@ def test_shared_directions_runs_and_is_deterministic():
     zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
     cfg = _cfg("vr-szht", eta=0.05, k=2, zo=zo, budget=1500, seed=25, m=3,
                shared_directions=True)
-    t1, t2 = run_vr_szht(problem, cfg), run_vr_szht(problem, cfg)
+    t1, t2 = run_solver(problem, cfg), run_solver(problem, cfg)
     assert t1.rows == t2.rows
     assert expected_izo(5, t1) == t1.izo
 

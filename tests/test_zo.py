@@ -3,12 +3,11 @@ import pytest
 
 from zoht.core import QueryCounters, nnz, spawn_stream
 from zoht.problems import ridge_synthetic
+from zoht.vr import ZoComponentEstimator
 from zoht.zo import (
     NonFiniteValueError,
     ZoEstimatorConfig,
-    sample_direction,
     sample_directions,
-    zo_full_gradient,
     zo_gradient,
 )
 
@@ -25,7 +24,7 @@ def test_config_validation():
 def test_direction_unit_norm_and_support():
     rng = spawn_stream(0, "directions")
     for s2 in (1, 2, 5):
-        u = sample_direction(5, s2, rng)
+        u = sample_directions(5, s2, 1, rng)[0]
         assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
         assert nnz(u) <= s2
 
@@ -36,7 +35,7 @@ def test_axis_directions_uniform_s2_1():
     draws = 60_000
     counts = np.zeros(6)
     for _ in range(draws):
-        u = sample_direction(3, 1, rng)
+        u = sample_directions(3, 1, 1, rng)[0]
         j = int(np.flatnonzero(u)[0])
         assert abs(u[j]) == 1.0  # single-coordinate support normalizes to +-1
         counts[2 * j + (0 if u[j] > 0 else 1)] += 1
@@ -179,18 +178,22 @@ def test_full_gradient_reduces_to_single_for_n_1():
     problem = ridge_synthetic(1, 4, 0.1, spawn_stream(14, "data-gen"), standardize=False)
     cfg = ZoEstimatorConfig(q=6, s2=4, mu=1e-4, d=4)
     theta = np.ones(4)
-    full = zo_full_gradient(problem, theta, cfg, spawn_stream(15, "directions"))
+    full = ZoComponentEstimator(
+        problem, cfg, spawn_stream(15, "directions"), None
+    ).full(theta)
     single = zo_gradient(
         lambda th: problem.component(0, th), theta, cfg, spawn_stream(15, "directions")
     )
-    np.testing.assert_array_equal(full.gradient, single.gradient)
+    np.testing.assert_array_equal(full, single.gradient)
 
 
 def test_full_gradient_izo():
     problem = ridge_synthetic(10, 5, 0.5, spawn_stream(16, "data-gen"))
     cfg = ZoEstimatorConfig(q=200, s2=5, mu=1e-4, d=5)
     counters = QueryCounters()
-    zo_full_gradient(problem, np.zeros(5), cfg, spawn_stream(17, "directions"), counters)
+    ZoComponentEstimator(
+        problem, cfg, spawn_stream(17, "directions"), counters
+    ).full(np.zeros(5))
     assert counters.izo == 10 * 201 == 2010
 
 
@@ -203,10 +206,8 @@ def test_full_gradient_identical_linear_components():
             return float(theta[0] - 2.0 * theta[1])
 
     cfg = ZoEstimatorConfig(q=4, s2=2, mu=1e-4, d=2)
-    rng = spawn_stream(18, "directions")
-    draws = np.stack(
-        [zo_full_gradient(Linear(), np.zeros(2), cfg, rng).gradient for _ in range(20_000)]
-    )
+    estimator = ZoComponentEstimator(Linear(), cfg, spawn_stream(18, "directions"), None)
+    draws = np.stack([estimator.full(np.zeros(2)) for _ in range(20_000)])
     err = np.abs(draws.mean(axis=0) - np.array([1.0, -2.0]))
     tol = 3.0 * draws.std(axis=0) / np.sqrt(len(draws))
     assert np.all(err <= tol)
