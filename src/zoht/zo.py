@@ -8,7 +8,7 @@ subset of size s2. The base value f(theta) is evaluated once and reused
 across directions, so one estimate costs exactly q + 1 IZO.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,13 @@ from .core import norm_inf
 # Reject smoothing radii small enough for the forward difference to be
 # dominated by rounding noise.
 MU_FLOOR_SCALE = 1e-12
+
+# Probe points are built at most this many coordinates (64 KiB) at a time.
+# malloc recycles a block that size from one estimate to the next. A whole
+# (q, d) array (400 KiB at q = 50, d = 1000) is at times handed back to the
+# kernel after each estimate and paged in again on the next: ~610k page
+# faults and a third of the wall time of a d = 1000 grid pass.
+PROBE_BLOCK = 8192
 
 
 class NonFiniteValueError(ArithmeticError):
@@ -52,7 +59,6 @@ class ZoEstimatorConfig:
 class ZoEstimate:
     gradient: np.ndarray
     izo_cost: int
-    directions_support: np.ndarray = field(repr=False)  # union of sampled supports
 
 
 def sample_directions(d, s2, q, rng):
@@ -60,22 +66,42 @@ def sample_directions(d, s2, q, rng):
 
     Support: uniformly random size-s2 subset; conditional on the support,
     uniform on the unit sphere of those coordinates (normalized normals).
+    Draw order: the (q, s2) normal values, then, when s2 < d, the supports.
     """
     if not 1 <= s2 <= d:
         raise ValueError("need 1 <= s2 <= d, got s2=%d d=%d" % (s2, d))
+    values = rng.standard_normal((q, s2))
+    norms = np.linalg.norm(values, axis=1)
+    while not norms.all():  # essentially impossible; redraw defensively
+        bad = norms == 0.0
+        values[bad] = rng.standard_normal((np.count_nonzero(bad), s2))
+        norms = np.linalg.norm(values, axis=1)
+    values /= norms[:, None]
     if s2 == d:
-        u = rng.standard_normal((q, d))
-    else:
-        u = np.zeros((q, d))
-        for row in range(q):
-            idx = rng.choice(d, size=s2, replace=False)
-            u[row, idx] = rng.standard_normal(s2)
-    norms = np.linalg.norm(u, axis=1)
-    while np.any(norms == 0.0):  # essentially impossible; redraw defensively
-        bad = np.flatnonzero(norms == 0.0)
-        u[bad] = sample_directions(d, s2, bad.size, rng)
-        norms = np.linalg.norm(u, axis=1)
-    return u / norms[:, None]
+        return values
+    u = np.zeros((q, d))
+    np.put_along_axis(u, _sample_supports(d, s2, q, rng), values, axis=1)
+    return u
+
+
+def _sample_supports(d, s2, q, rng):
+    """(q, s2) column indices; each row is a uniformly random size-s2
+    subset of range(d), in no particular order."""
+    if s2 * (s2 - 1) > 2 * d:
+        # Dense supports: the s2 smallest of d i.i.d. uniform keys.
+        return np.argpartition(rng.random((q, d)), s2 - 1, axis=1)[:, :s2]
+    # Sparse supports: i.i.d. index rows, each redrawn until its entries
+    # are distinct, which is uniform over subsets. A draw is accepted with
+    # probability prod_{j<s2} (1 - j/d), about exp(-s2(s2-1)/(2d)), so
+    # roughly 1/e or more when s2(s2-1) <= 2d.
+    idx = rng.integers(0, d, size=(q, s2))
+    pending = np.arange(q)
+    while True:
+        rows = np.sort(idx[pending], axis=1)
+        pending = pending[np.any(rows[:, 1:] == rows[:, :-1], axis=1)]
+        if not pending.size:
+            return idx
+        idx[pending] = rng.integers(0, d, size=(pending.size, s2))
 
 
 def _check_mu(cfg, theta):
@@ -107,15 +133,17 @@ def zo_gradient(f, theta, cfg, rng, counters=None, directions=None):
     if counters is not None:
         counters.izo += cfg.q + 1
     base = f(theta)
-    points = theta + cfg.mu * directions
     values = np.empty(cfg.q)
-    for i in range(cfg.q):
-        values[i] = f(points[i])
+    rows = max(1, PROBE_BLOCK // cfg.d)
+    for start in range(0, cfg.q, rows):
+        points = cfg.mu * directions[start:start + rows]
+        points += theta
+        for i, point in enumerate(points, start):
+            values[i] = f(point)
     if not np.isfinite(base):
         raise NonFiniteValueError(base, theta)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise NonFiniteValueError(values[bad[0]], points[bad[0]])
+        raise NonFiniteValueError(values[bad[0]], theta + cfg.mu * directions[bad[0]])
     grad = (cfg.d / (cfg.q * cfg.mu)) * ((values - base) @ directions)
-    union = np.flatnonzero(np.any(directions != 0.0, axis=0))
-    return ZoEstimate(gradient=grad, izo_cost=cfg.q + 1, directions_support=union)
+    return ZoEstimate(gradient=grad, izo_cost=cfg.q + 1)

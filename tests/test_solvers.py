@@ -160,10 +160,15 @@ def test_sarah_inner_step_cost():
 
 
 def test_all_solvers_seed_deterministic_and_sparse():
-    problem = ridge_synthetic(6, 5, 0.3, spawn_stream(9, "data-gen"))
-    zo = ZoEstimatorConfig(q=12, s2=5, mu=1e-4, d=5)
+    # full-support directions (s2 = d) and sparse ones (s2 < d)
+    cases = (
+        (ridge_synthetic(6, 5, 0.3, spawn_stream(9, "data-gen")),
+         ZoEstimatorConfig(q=12, s2=5, mu=1e-4, d=5)),
+        (ridge_synthetic(6, 30, 0.3, spawn_stream(19, "data-gen")),
+         ZoEstimatorConfig(q=12, s2=4, mu=1e-4, d=30)),
+    )
     algos = ("szoht", "fgzoht", "pm-szht", "vr-szht", "sarah-szht")
-    for algo, shared in itertools.product(algos, (False, True)):
+    for (problem, zo), algo, shared in itertools.product(cases, algos, (False, True)):
         kw = {}
         if algo == "pm-szht":
             kw["p"] = 2

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,39 @@ def test_axis_directions_uniform_s2_1():
     p = 1.0 / 6.0
     tol = 3.0 * np.sqrt(draws * p * (1 - p))  # 3 sigma binomial
     assert np.all(np.abs(counts - draws * p) <= tol)
+
+
+@pytest.mark.parametrize("d, s2", [(5, 2), (5, 4)])
+def test_sparse_directions_uniform_support_and_isotropic(d, s2):
+    # (5, 2) takes the redraw branch of the support sampler, (5, 4) the
+    # random-keys branch. Each support has probability 1/C(d, s2), and
+    # E[u u^T] = I/d, since P(j in support) = s2/d and E[u_j^2 | j in it] = 1/s2.
+    draws = 100_000
+    u = sample_directions(d, s2, draws, spawn_stream(20 + s2, "directions"))
+    assert u.shape == (draws, d)
+    assert np.all(np.count_nonzero(u, axis=1) == s2)
+    assert np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) <= 1e-12
+    supports = list(itertools.combinations(range(d), s2))
+    code = (u != 0.0) @ (1 << np.arange(d))
+    counts = np.array([np.count_nonzero(code == sum(1 << j for j in s)) for s in supports])
+    assert counts.sum() == draws
+    p = 1.0 / len(supports)
+    tol = 3.0 * np.sqrt(draws * p * (1 - p))  # 3 sigma binomial
+    assert np.all(np.abs(counts - draws * p) <= tol)
+    second = u.T @ u / draws
+    assert np.max(np.abs(second - np.eye(d) / d)) < 0.02
+
+
+def test_full_support_draw_pinned():
+    # s2 = d (every CLI default) draws exactly q*d standard normals and
+    # divides each row by its norm: pinned bit for bit, stream position too.
+    for d, q in ((1, 3), (5, 200), (30, 7)):
+        rng = spawn_stream(19, "directions")
+        u = sample_directions(d, d, q, rng)
+        ref = spawn_stream(19, "directions")
+        g = ref.standard_normal((q, d))
+        assert u.tobytes() == (g / np.linalg.norm(g, axis=1)[:, None]).tobytes()
+        assert rng.random() == ref.random()
 
 
 def test_second_moment_isotropy_full_support():
@@ -98,11 +133,27 @@ def test_izo_accounting():
     assert counters.izo == 10 == est.izo_cost
 
 
+def test_probe_blocks_match_direct_formula():
+    # d = 3000 builds the probe points two rows at a time (q = 5: blocks of
+    # 2, 2, 1); the estimate must equal the unblocked formula bit for bit.
+    d, q, mu = 3000, 5, 1e-3
+    f = lambda th: float(np.sin(th) @ np.arange(1.0, d + 1.0))
+    theta = np.linspace(-1.0, 1.0, d)
+    dirs = sample_directions(d, 7, q, spawn_stream(24, "directions"))
+    cfg = ZoEstimatorConfig(q=q, s2=7, mu=mu, d=d)
+    est = zo_gradient(f, theta, cfg, None, directions=dirs)
+    values = np.array([f(p) for p in theta + mu * dirs])
+    expected = (d / (q * mu)) * ((values - f(theta)) @ dirs)
+    assert est.gradient.tobytes() == expected.tobytes()
+
+
 def test_support_containment_exact():
     cfg = ZoEstimatorConfig(q=3, s2=2, mu=0.01, d=10)
     rng = spawn_stream(7, "directions")
-    est = zo_gradient(lambda th: float(th @ th), np.ones(10), cfg, rng)
-    outside = np.setdiff1d(np.arange(10), est.directions_support)
+    dirs = sample_directions(10, 2, 3, rng)
+    est = zo_gradient(lambda th: float(th @ th), np.ones(10), cfg, rng, directions=dirs)
+    outside = np.flatnonzero(np.all(dirs == 0.0, axis=0))
+    assert outside.size >= 10 - 3 * 2
     np.testing.assert_array_equal(est.gradient[outside], 0.0)
 
 
