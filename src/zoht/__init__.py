@@ -3,7 +3,7 @@ minimization, with variance-reduced gradient estimators, executable
 convergence constants, and a reproducible benchmark harness."""
 
 from .core import FunctionOracle, QueryCounters, spawn_stream
-from .ht import HtResult, expansivity_ratio, hard_threshold
+from .ht import expansivity_ratio, hard_threshold
 from .solvers import (
     ALGORITHMS,
     RunTrace,
@@ -33,7 +33,7 @@ from .problems import (
     ridge_synthetic,
     surrogate_classifier,
 )
-from .zo import ZoEstimate, ZoEstimatorConfig, zo_gradient
+from .zo import ZoEstimatorConfig, zo_gradient
 from .vr import (
     ExactComponentEstimator,
     GradientMemory,

@@ -60,9 +60,17 @@ def _comma_algos(text):
     return algos
 
 
-def _add_run_options(sub, eta_default):
+def _add_run_options(sub, k, q, mu, m, budget, eta_grid):
+    """The options shared by the run subcommands, with their defaults."""
+    sub.add_argument("--k", type=int, default=k)
+    sub.add_argument("--q", type=int, default=q)
+    sub.add_argument("--mu", type=float, default=mu)
+    sub.add_argument("--s2", type=int, default=None, help="default: d")
+    sub.add_argument("--m", type=int, default=m,
+                     help="default: floor(n/2)" if m is None else None)
+    sub.add_argument("--budget", type=int, default=budget)
     sub.add_argument("--seeds", type=_comma_ints, default=[1, 2, 3])
-    sub.add_argument("--eta-grid", type=_comma_floats, default=_comma_floats(eta_default))
+    sub.add_argument("--eta-grid", type=_comma_floats, default=_comma_floats(eta_grid))
     sub.add_argument("--algos", type=_comma_algos, default=_comma_algos(DEFAULT_ALGOS))
     sub.add_argument("--p", type=int, default=1, help="memory update rate")
     sub.add_argument("--law", choices=[LAW_P_SAGA, LAW_SVRG_VARIANT], default=LAW_P_SAGA)
@@ -81,39 +89,21 @@ def build_parser():
     rs.add_argument("--n", type=int, default=10)
     rs.add_argument("--d", type=int, default=5)
     rs.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    rs.add_argument("--k", type=int, default=3)
-    rs.add_argument("--q", type=int, default=200)
-    rs.add_argument("--mu", type=float, default=1e-4)
-    rs.add_argument("--s2", type=int, default=5)
-    rs.add_argument("--m", type=int, default=10)
-    rs.add_argument("--budget", type=int, default=80_000)
     rs.add_argument("--data-seed", type=int, default=0)
-    _add_run_options(rs, DEFAULT_ETA_GRID)
+    _add_run_options(rs, 3, 200, 1e-4, 10, 80_000, DEFAULT_ETA_GRID)
 
     rc = subs.add_parser("ridge-csv", help="ridge benchmark on a CSV dataset")
     rc.add_argument("--file", required=True)
     rc.add_argument("--target", required=True, help="target column name")
     rc.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    rc.add_argument("--k", type=int, default=3)
-    rc.add_argument("--q", type=int, default=200)
-    rc.add_argument("--mu", type=float, default=1e-4)
-    rc.add_argument("--s2", type=int, default=None, help="default: d")
-    rc.add_argument("--m", type=int, default=None, help="default: floor(n/2)")
-    rc.add_argument("--budget", type=int, default=100_000)
-    _add_run_options(rc, CSV_ETA_GRID)
+    _add_run_options(rc, 3, 200, 1e-4, None, 100_000, CSV_ETA_GRID)
 
     at = subs.add_parser("attack-surrogate", help="sparse black-box attack")
     at.add_argument("--n", type=int, default=4)
     at.add_argument("--d", type=int, default=48)
     at.add_argument("--classes", type=int, default=10)
-    at.add_argument("--k", type=int, default=6)
-    at.add_argument("--q", type=int, default=10)
-    at.add_argument("--mu", type=float, default=1e-3)
-    at.add_argument("--s2", type=int, default=None, help="default: d")
-    at.add_argument("--m", type=int, default=10)
-    at.add_argument("--budget", type=int, default=600)
     at.add_argument("--data-seed", type=int, default=0)
-    _add_run_options(at, ATTACK_ETA_GRID)
+    _add_run_options(at, 6, 10, 1e-3, 10, 600, ATTACK_ETA_GRID)
 
     ct = subs.add_parser("check-theory", help="print closed-form constants")
     for flag, typ in [

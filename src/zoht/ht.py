@@ -3,21 +3,14 @@ zero the rest. Not non-expansive; the expansivity ratio against a sparse
 target is bounded by 1 + 2*sqrt(kstar)/sqrt(k - kstar) (see theory.alpha).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import nnz
 
 
-@dataclass
-class HtResult:
-    vector: np.ndarray   # thresholded output
-    kept: np.ndarray     # indices retained (sorted, only nonzero entries)
-
-
 def hard_threshold(v, k, counters=None):
-    """Top-k magnitude projection.
+    """Top-k magnitude projection, as a new array; ``support`` of the
+    result is the kept index set.
 
     Ties at the k-th magnitude keep the lower index (stable order on
     descending |v_i|), so the result is deterministic. k = 0 yields the
@@ -29,14 +22,11 @@ def hard_threshold(v, k, counters=None):
     if counters is not None:
         counters.nht += 1
     out = np.zeros_like(v)
-    if k > 0:
-        order = np.argsort(-np.abs(v), kind="stable")[:k]
-        keep = order[v[order] != 0.0]
-        out[keep] = v[keep]
-        keep = np.sort(keep)
-    else:
-        keep = np.empty(0, dtype=np.intp)
-    return HtResult(vector=out, kept=keep)
+    keep = np.argsort(-np.abs(v), kind="stable")[:k]
+    # Zeros are not kept, so a -0.0 among the top k comes out as +0.0.
+    keep = keep[v[keep] != 0.0]
+    out[keep] = v[keep]
+    return out
 
 
 def expansivity_ratio(v, target, k):
@@ -48,7 +38,7 @@ def expansivity_ratio(v, target, k):
     kstar = nnz(target)
     if k <= kstar:
         raise ValueError("need k > nnz(target); got k=%d, nnz=%d" % (k, kstar))
-    num = float(np.sum((hard_threshold(v, k).vector - target) ** 2))
+    num = float(np.sum((hard_threshold(v, k) - target) ** 2))
     den = float(np.sum((v - target) ** 2))
     if den == 0.0:
         raise ValueError("v equals target; ratio undefined")

@@ -18,7 +18,7 @@ class RidgeProblem(FunctionOracle):
     are exposed for first-order baselines and test stubs.
     """
 
-    def __init__(self, X, y, lam, standardized=False, theta_star=None):
+    def __init__(self, X, y, lam, theta_star=None):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or y.shape != (X.shape[0],):
@@ -28,7 +28,6 @@ class RidgeProblem(FunctionOracle):
         self.X = X
         self.y = y
         self.lam = float(lam)
-        self.standardized = bool(standardized)
         self.n, self.d = X.shape
         self.minimizer = None if theta_star is None else np.asarray(theta_star, float)
 
@@ -101,7 +100,7 @@ def ridge_synthetic(n, d, lam, rng, sparse_kstar=None, standardize=True):
     y = X @ theta_star
     if standardize:
         X = standardize_columns(X)
-    return RidgeProblem(X, y, lam, standardized=standardize, theta_star=theta_star)
+    return RidgeProblem(X, y, lam, theta_star=theta_star)
 
 
 def ridge_from_csv(path, target_column, lam):
@@ -145,7 +144,7 @@ def ridge_from_csv(path, target_column, lam):
     data = np.asarray(rows, dtype=np.float64)
     y = data[:, target_idx]
     X = np.delete(data, target_idx, axis=1)
-    return RidgeProblem(standardize_columns(X), y, lam, standardized=True)
+    return RidgeProblem(standardize_columns(X), y, lam)
 
 
 # -- black-box attack objective ----------------------------------------------

@@ -108,10 +108,11 @@ class _Run:
     algorithm bodies are its private methods, registered in _RUNNERS."""
 
     def __init__(self, oracle, cfg):
-        if cfg.izo_budget < oracle.n * (cfg.zo.q + 1):
+        full_pass = oracle.n * cfg.zo.izo_per_estimate
+        if cfg.izo_budget < full_pass:
             raise ValueError(
                 "izo_budget %d below one full pass n(q+1) = %d"
-                % (cfg.izo_budget, oracle.n * (cfg.zo.q + 1))
+                % (cfg.izo_budget, full_pass)
             )
         if cfg.p is not None and not 1 <= cfg.p <= oracle.n:
             raise ValueError("need 1 <= p <= n")
@@ -151,7 +152,7 @@ class _Run:
         False; records and guards."""
         theta = self.theta - self.cfg.eta * grad
         if threshold:
-            theta = hard_threshold(theta, self.cfg.k, self.counters).vector
+            theta = hard_threshold(theta, self.cfg.k, self.counters)
         self.theta = theta
         self.steps_done += 1
         fval = self.oracle.mean_value(self.theta)

@@ -274,7 +274,7 @@ def system_error_terms(oracle, tp, theta, eta=None):
 
     grad_star = oracle.mean_gradient(theta_star)
     support_set = np.union1d(
-        np.union1d(hard_threshold(grad_star, min(2 * tp.k, tp.d)).kept,
+        np.union1d(support(hard_threshold(grad_star, min(2 * tp.k, tp.d))),
                    support(theta_star)),
         support(theta),
     )

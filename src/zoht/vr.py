@@ -30,23 +30,18 @@ class ZoComponentEstimator:
         self.counters = counters
         self.shared_directions = shared_directions
 
-    def estimate(self, i, theta):
+    def estimate(self, i, theta, directions=None):
         f = lambda th, i=i: self.oracle.component(i, th)
-        return zo_gradient(f, theta, self.cfg, self.rng, self.counters).gradient
+        return zo_gradient(f, theta, self.cfg, self.rng, self.counters, directions)
 
     def estimate_pair(self, i, theta_a, theta_b):
         """Estimates of grad f_i at two points. Directions are independent
         draws by default; with shared_directions the same direction set is
         reused, so identical points cancel exactly."""
-        f = lambda th, i=i: self.oracle.component(i, th)
+        dirs = None
         if self.shared_directions:
             dirs = sample_directions(self.cfg.d, self.cfg.s2, self.cfg.q, self.rng)
-            ga = zo_gradient(f, theta_a, self.cfg, self.rng, self.counters, directions=dirs)
-            gb = zo_gradient(f, theta_b, self.cfg, self.rng, self.counters, directions=dirs)
-        else:
-            ga = zo_gradient(f, theta_a, self.cfg, self.rng, self.counters)
-            gb = zo_gradient(f, theta_b, self.cfg, self.rng, self.counters)
-        return ga.gradient, gb.gradient
+        return self.estimate(i, theta_a, dirs), self.estimate(i, theta_b, dirs)
 
     def full(self, theta):
         """Mean over all components, fresh directions each: n(q+1) IZO."""

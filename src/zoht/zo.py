@@ -55,12 +55,6 @@ class ZoEstimatorConfig:
         return self.q + 1
 
 
-@dataclass
-class ZoEstimate:
-    gradient: np.ndarray
-    izo_cost: int
-
-
 def sample_directions(d, s2, q, rng):
     """q random unit directions as rows of a (q, d) array.
 
@@ -113,11 +107,13 @@ def _check_mu(cfg, theta):
 
 
 def zo_gradient(f, theta, cfg, rng, counters=None, directions=None):
-    """Forward-difference gradient estimate of a scalar function at theta.
+    """Forward-difference gradient estimate of a scalar function at theta,
+    as a (d,) array.
 
     ``f`` must be an uncounted scalar callable; IZO is charged here, one
-    unit per evaluation (q + 1 total). Pass ``directions`` (a (q, d)
-    array) to reuse a frozen direction set, e.g. to couple two estimates.
+    unit per evaluation (``cfg.izo_per_estimate`` in all). Pass
+    ``directions`` (a (q, d) array) to reuse a frozen direction set, e.g.
+    to couple two estimates.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (cfg.d,):
@@ -131,7 +127,7 @@ def zo_gradient(f, theta, cfg, rng, counters=None, directions=None):
             % (directions.shape, cfg.q, cfg.d)
         )
     if counters is not None:
-        counters.izo += cfg.q + 1
+        counters.izo += cfg.izo_per_estimate
     base = f(theta)
     values = np.empty(cfg.q)
     rows = max(1, PROBE_BLOCK // cfg.d)
@@ -145,5 +141,4 @@ def zo_gradient(f, theta, cfg, rng, counters=None, directions=None):
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NonFiniteValueError(values[bad[0]], theta + cfg.mu * directions[bad[0]])
-    grad = (cfg.d / (cfg.q * cfg.mu)) * ((values - base) @ directions)
-    return ZoEstimate(gradient=grad, izo_cost=cfg.q + 1)
+    return (cfg.d / (cfg.q * cfg.mu)) * ((values - base) @ directions)

@@ -59,7 +59,7 @@ def test_criterion_01_projection_optimality_exhaustive():
         v = rng.standard_normal(d)
         masses = masks @ (v * v)
         for k in range(d + 1):
-            kept = hard_threshold(v, k).vector
+            kept = hard_threshold(v, k)
             best = masses[sizes <= k].max()
             if float(kept @ kept) < best - 1e-12:
                 violations += 1
@@ -98,7 +98,7 @@ def test_criterion_03_zo_unbiasedness():
         theta = np.zeros(d)
         f = lambda th: float(c @ th)
         for t in range(n_draws):
-            draws[t] = zo_gradient(f, theta, cfg, rng).gradient
+            draws[t] = zo_gradient(f, theta, cfg, rng)
         err = np.abs(draws.mean(axis=0) - c)
         tol = 3.0 * draws.std(axis=0) / math.sqrt(n_draws)
         ok = ok and bool(np.all(err <= tol))
@@ -115,7 +115,7 @@ def test_criterion_03_zo_unbiasedness():
     for j, sign in product(range(d), (1.0, -1.0)):
         e = np.zeros((1, d))
         e[0, j] = sign
-        total += zo_gradient(f, theta, cfg, None, directions=e).gradient
+        total += zo_gradient(f, theta, cfg, None, directions=e)
     enumeration_mean = total / (2 * d)
     central = np.array([
         (f(theta + 0.1 * np.eye(d)[j]) - f(theta - 0.1 * np.eye(d)[j])) / 0.2
@@ -154,11 +154,11 @@ def test_criterion_04_vr_unbiasedness_and_sarah_bias():
     eta, k = 0.1, 2
     theta0 = np.array([0.5, -0.5, 0.25])
     state0 = sarah_init(est, theta0)
-    theta1 = hard_threshold(theta0 - eta * state0.g_prev, k).vector
+    theta1 = hard_threshold(theta0 - eta * state0.g_prev, k)
     witness = 0.0
     for i1 in (0, 1):
         g1, state1 = sarah_step(state0, theta1, i1, est)
-        theta2 = hard_threshold(theta1 - eta * g1, k).vector
+        theta2 = hard_threshold(theta1 - eta * g1, k)
         cond = np.mean([sarah_step(state1, theta2, i2, est)[0] for i2 in (0, 1)],
                        axis=0)
         witness = max(witness, float(np.linalg.norm(cond - problem.mean_gradient(theta2))))

@@ -107,7 +107,7 @@ def test_defaults_match_benchmark_protocol():
 
     args = build_parser().parse_args(["ridge-synthetic", "--out", "x"])
     assert (args.n, args.d, args.lam) == (10, 5, 0.5)
-    assert (args.k, args.q, args.mu, args.s2, args.m) == (3, 200, 1e-4, 5, 10)
+    assert (args.k, args.q, args.mu, args.s2, args.m) == (3, 200, 1e-4, None, 10)
     assert args.budget == 80_000
     assert args.seeds == [1, 2, 3]
     assert args.eta_grid == [0.005, 0.01, 0.05, 0.1, 0.5]
@@ -117,7 +117,20 @@ def test_defaults_match_benchmark_protocol():
         ["ridge-csv", "--file", "f", "--target", "t", "--out", "x"]
     )
     assert args.eta_grid == [10.0 ** -i for i in range(1, 8)]
+    assert (args.k, args.q, args.mu, args.s2, args.m) == (3, 200, 1e-4, None, None)
+    assert args.budget == 100_000
 
     args = build_parser().parse_args(["attack-surrogate", "--out", "x"])
     assert (args.n, args.d, args.classes, args.k, args.q) == (4, 48, 10, 6, 10)
     assert args.budget == 600 and args.mu == 1e-3
+    assert (args.m, args.s2) == (10, None)
+
+
+def test_ridge_synthetic_s2_defaults_to_d(tmp_path):
+    out = tmp_path / "run"
+    code = main([
+        "ridge-synthetic", "--n", "3", "--d", "12", "--q", "2", "--budget", "100",
+        "--seeds", "1", "--eta-grid", "0.01", "--algos", "szoht", "--out", str(out),
+    ])
+    assert code == 0
+    assert "s2=12" in (out / "meta.txt").read_text().splitlines()

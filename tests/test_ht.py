@@ -24,13 +24,13 @@ def best_subset_mass(v, k):
 
 def test_top2_magnitudes():
     out = hard_threshold(np.array([3.0, -5.0, 1.0, 0.0]), 2)
-    np.testing.assert_array_equal(out.vector, [3.0, -5.0, 0.0, 0.0])
-    np.testing.assert_array_equal(out.kept, [0, 1])
+    np.testing.assert_array_equal(out, [3.0, -5.0, 0.0, 0.0])
+    np.testing.assert_array_equal(np.flatnonzero(out), [0, 1])
 
 
 def test_identity_when_sparse_enough():
     v = np.array([0.0, 2.0, 0.0, -1.0])
-    np.testing.assert_array_equal(hard_threshold(v, 3).vector, v)
+    np.testing.assert_array_equal(hard_threshold(v, 3), v)
 
 
 def test_tie_breaks_to_lower_index():
@@ -38,13 +38,21 @@ def test_tie_breaks_to_lower_index():
     v = np.array([2.0, -2.0, 1.0])
     mass, _ = best_subset_mass(v, 1)
     out = hard_threshold(v, 1)
-    np.testing.assert_array_equal(out.vector, [2.0, 0.0, 0.0])
-    assert float(np.sum(out.vector**2)) == mass
+    np.testing.assert_array_equal(out, [2.0, 0.0, 0.0])
+    assert float(np.sum(out**2)) == mass
+
+
+def test_kept_signed_zero_comes_out_positive():
+    # the top two by magnitude are indices 1 and 0; a zero entry is not
+    # kept, so the -0.0 at index 0 does not reach the output
+    out = hard_threshold(np.array([-0.0, 2.0, 0.0]), 2)
+    assert out.tobytes() == np.array([0.0, 2.0, 0.0]).tobytes()
+    np.testing.assert_array_equal(np.flatnonzero(out), [1])
 
 
 def test_k_zero_and_k_too_large():
     v = np.array([1.0, -2.0])
-    np.testing.assert_array_equal(hard_threshold(v, 0).vector, [0.0, 0.0])
+    np.testing.assert_array_equal(hard_threshold(v, 0), [0.0, 0.0])
     with pytest.raises(ValueError):
         hard_threshold(v, 3)
 
@@ -62,8 +70,8 @@ def test_idempotence():
         d = rng.integers(1, 12)
         k = int(rng.integers(0, d + 1))
         v = rng.standard_normal(d)
-        once = hard_threshold(v, k).vector
-        twice = hard_threshold(once, k).vector
+        once = hard_threshold(v, k)
+        twice = hard_threshold(once, k)
         np.testing.assert_array_equal(once, twice)
 
 
@@ -73,7 +81,7 @@ def test_projection_optimality_small():
         d = int(rng.integers(2, 9))
         v = rng.standard_normal(d)
         for k in range(d + 1):
-            out = hard_threshold(v, k).vector
+            out = hard_threshold(v, k)
             best, _ = best_subset_mass(v, k)
             assert float(np.sum(out**2)) >= best - 1e-12
 
@@ -85,8 +93,8 @@ def test_permutation_equivariance_tie_free():
         v = rng.standard_normal(d)  # ties have probability zero
         k = int(rng.integers(0, d + 1))
         perm = rng.permutation(d)
-        lhs = hard_threshold(v[perm], k).vector
-        rhs = hard_threshold(v, k).vector[perm]
+        lhs = hard_threshold(v[perm], k)
+        rhs = hard_threshold(v, k)[perm]
         np.testing.assert_array_equal(lhs, rhs)
 
 

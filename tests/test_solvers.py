@@ -63,7 +63,7 @@ def test_zero_eta_freezes_after_first_threshold():
     fvals = trace.column("fval")
     assert np.all(fvals[1:] == fvals[1])
     np.testing.assert_array_equal(
-        trace.final_theta, hard_threshold(np.array([1.0, -2.0, 0.5]), 2).vector
+        trace.final_theta, hard_threshold(np.array([1.0, -2.0, 0.5]), 2)
     )
 
 
@@ -160,28 +160,35 @@ def test_sarah_inner_step_cost():
 
 
 def test_all_solvers_seed_deterministic_and_sparse():
-    # full-support directions (s2 = d) and sparse ones (s2 < d)
+    # full-support directions (s2 = d), sparse ones (s2 < d), and the
+    # edge cases k = 0 (every iterate is zero) and n = 1
     cases = (
         (ridge_synthetic(6, 5, 0.3, spawn_stream(9, "data-gen")),
-         ZoEstimatorConfig(q=12, s2=5, mu=1e-4, d=5)),
+         ZoEstimatorConfig(q=12, s2=5, mu=1e-4, d=5), 3),
         (ridge_synthetic(6, 30, 0.3, spawn_stream(19, "data-gen")),
-         ZoEstimatorConfig(q=12, s2=4, mu=1e-4, d=30)),
+         ZoEstimatorConfig(q=12, s2=4, mu=1e-4, d=30), 3),
+        (ridge_synthetic(6, 5, 0.3, spawn_stream(9, "data-gen")),
+         ZoEstimatorConfig(q=12, s2=5, mu=1e-4, d=5), 0),
+        (ridge_synthetic(1, 5, 0.3, spawn_stream(29, "data-gen"), standardize=False),
+         ZoEstimatorConfig(q=12, s2=5, mu=1e-4, d=5), 3),
     )
     algos = ("szoht", "fgzoht", "pm-szht", "vr-szht", "sarah-szht")
-    for (problem, zo), algo, shared in itertools.product(cases, algos, (False, True)):
+    for (problem, zo, k), algo, shared in itertools.product(cases, algos, (False, True)):
         kw = {}
         if algo == "pm-szht":
-            kw["p"] = 2
+            kw["p"] = min(2, problem.n)
         if algo in ("vr-szht", "sarah-szht"):
             kw["m"] = 3
-        cfg = _cfg(algo, eta=0.05, k=3, zo=zo, budget=1500, seed=11,
+        cfg = _cfg(algo, eta=0.05, k=k, zo=zo, budget=1500, seed=11,
                    shared_directions=shared, **kw)
         t1 = run_solver(problem, cfg)
         t2 = run_solver(problem, cfg)
         assert t1.rows == t2.rows
         np.testing.assert_array_equal(t1.final_theta, t2.final_theta)
-        assert np.all(t1.column("nnz")[1:] <= 3)
-        assert expected_izo(6, t1) == t1.izo
+        assert np.all(t1.column("nnz")[1:] <= k)
+        if k == 0:
+            assert not t1.final_theta.any()
+        assert expected_izo(problem.n, t1) == t1.izo
         assert t1.izo >= cfg.izo_budget
         assert t1.nht == t1.column("nht")[-1]
 
@@ -226,8 +233,8 @@ def test_vr_collapses_to_exact_descent_for_n_1():
     for _ in range(5):
         g = svrg_gradient(snap, reduced, 0, est)
         np.testing.assert_allclose(g, problem.mean_gradient(reduced), atol=1e-12)
-        reduced = hard_threshold(reduced - eta * g, k).vector
-        plain = hard_threshold(plain - eta * problem.mean_gradient(plain), k).vector
+        reduced = hard_threshold(reduced - eta * g, k)
+        plain = hard_threshold(plain - eta * problem.mean_gradient(plain), k)
         np.testing.assert_allclose(reduced, plain, atol=1e-12)
 
 

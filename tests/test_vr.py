@@ -214,12 +214,12 @@ def test_sarah_conditional_bias_witness():
     eta, k = 0.1, 2
     theta0 = np.array([0.5, -0.5, 0.25])
     state0 = sarah_init(est, theta0)
-    theta1 = hard_threshold(theta0 - eta * state0.g_prev, k).vector
+    theta1 = hard_threshold(theta0 - eta * state0.g_prev, k)
 
     worst = 0.0
     for i1 in (0, 1):
         g1, state1 = sarah_step(state0, theta1, i1, est)
-        theta2 = hard_threshold(theta1 - eta * g1, k).vector
+        theta2 = hard_threshold(theta1 - eta * g1, k)
         cond_mean = np.mean(
             [sarah_step(state1, theta2, i2, est)[0] for i2 in (0, 1)], axis=0
         )
