@@ -2,7 +2,7 @@
 minimization, with variance-reduced gradient estimators, executable
 convergence constants, and a reproducible benchmark harness."""
 
-from .core import FunctionOracle, QueryCounters, spawn_stream
+from .core import FunctionOracle, spawn_stream
 from .ht import expansivity_ratio, hard_threshold
 from .solvers import (
     ALGORITHMS,

@@ -1,5 +1,5 @@
 """Shared numeric plumbing: dense-vector helpers, seeded RNG streams,
-query counters, and the black-box finite-sum oracle.
+and the black-box finite-sum oracle.
 
 Vectors are plain 1-D float64 numpy arrays throughout. Support / nnz use
 exact ``|v_i| > 0`` (hard thresholding produces exact zeros, so the
@@ -59,24 +59,6 @@ def norm_inf(v):
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-class QueryCounters:
-    """Mutable per-run oracle accounting.
-
-    izo counts single component evaluations f_i (charged in
-    ``zo.zo_gradient``); nht counts hard-thresholding applications
-    (charged in ``ht.hard_threshold``). Both are monotone during a run.
-    """
-
-    __slots__ = ("izo", "nht")
-
-    def __init__(self, izo=0, nht=0):
-        self.izo = int(izo)
-        self.nht = int(nht)
-
-    def __repr__(self):
-        return "QueryCounters(izo=%d, nht=%d)" % (self.izo, self.nht)
-
-
 class FunctionOracle:
     """Finite-sum objective F(theta) = (1/n) sum_i f_i(theta), accessed by
     value queries only.
@@ -85,8 +67,8 @@ class FunctionOracle:
     ``component_gradient`` (used by first-order baselines and test stubs)
     and set ``minimizer`` when a ground-truth parameter is known.
 
-    No method here charges IZO: ``zo.zo_gradient`` charges each
-    evaluation it makes, and direct calls are the uncounted handle used
+    No method here charges IZO: ``vr.ZoComponentEstimator`` charges each
+    estimate it makes, and direct calls are the uncounted handle used
     for out-of-band measurement (e.g. trace function values).
     """
 

@@ -60,6 +60,10 @@ class ExperimentSpec:
             raise ValueError("unknown algorithm token(s) %s" % bad)
         if self.select not in ("final", "min"):
             raise ValueError("select must be 'final' or 'min'")
+        n = self.problem.n
+        pm = any(ALGO_TOKENS[a] == "pm-szht" for a in self.algorithms)
+        if pm and (self.p is None or not 1 <= self.p <= n):
+            raise ValueError("pm-szht needs 1 <= p <= n, got p=%s n=%d" % (self.p, n))
 
 
 @dataclass

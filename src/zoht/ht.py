@@ -8,19 +8,17 @@ import numpy as np
 from .core import nnz
 
 
-def hard_threshold(v, k, counters=None):
+def hard_threshold(v, k):
     """Top-k magnitude projection, as a new array; ``support`` of the
     result is the kept index set.
 
     Ties at the k-th magnitude keep the lower index (stable order on
     descending |v_i|), so the result is deterministic. k = 0 yields the
-    zero vector. Charges 1 NHT when counters are supplied.
+    zero vector. Pure: the caller counts NHT (``solvers._Run.descend``).
     """
     d = v.shape[0]
     if not 0 <= k <= d:
         raise ValueError("sparsity k=%d out of range for d=%d" % (k, d))
-    if counters is not None:
-        counters.nht += 1
     out = np.zeros_like(v)
     keep = np.argsort(-np.abs(v), kind="stable")[:k]
     # Zeros are not kept, so a -0.0 among the top k comes out as +0.0.

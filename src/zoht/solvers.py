@@ -8,7 +8,7 @@ keep the k largest-magnitude coordinates. Five estimators are wired in:
   vr-szht     snapshot anchor refreshed every m inner steps (SVRG family)
   sarah-szht  recursive difference estimate (biased after the first step)
 
-Accounting rules (asserted exactly by the test suite): a single estimate
+Accounting rules (checked at the end of every run): a single estimate
 costs q+1 IZO (q probes plus one shared base value), a full estimate
 n(q+1), a coupled pair 2(q+1); every threshold application is one NHT.
 The budget check precedes every gradient estimate, and trace function
@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QueryCounters, nnz, spawn_stream
+from .core import nnz, spawn_stream
 from .ht import hard_threshold
 from .vr import (
     LAW_P_SAGA,
+    UPDATE_LAWS,
     ExactComponentEstimator,
     ZoComponentEstimator,
     init_gradient_memory,
@@ -70,6 +71,8 @@ class SolverConfig:
             raise ValueError("%s needs m >= 1" % self.algorithm)
         if self.algorithm == "pm-szht" and self.p is None:
             raise ValueError("pm-szht needs the memory update rate p")
+        if self.law not in UPDATE_LAWS:
+            raise ValueError("unknown update law %r" % self.law)
         if self.anchor not in ("last", "random-inner"):
             raise ValueError("anchor must be 'last' or 'random-inner'")
         if self.record_every < 1:
@@ -81,8 +84,8 @@ class RunTrace:
     """Per-run time series and exact accounting metadata.
 
     rows: (izo, nht, fval, theta_nnz) tuples, strictly increasing in izo;
-    the counters plus the iteration/epoch/update tallies close the IZO
-    identity for each solver exactly.
+    izo and nht are the run's totals, and with the iteration/epoch/update
+    tallies they close the IZO identity for each solver exactly.
     """
 
     rows: list
@@ -103,9 +106,9 @@ class RunTrace:
 
 
 class _Run:
-    """One solver run: streams, counters, the component estimator, step
-    tallies, trace rows, divergence guard, and the budget gate. The five
-    algorithm bodies are its private methods, registered in _RUNNERS."""
+    """One solver run: streams, the component estimator (it tallies IZO),
+    the NHT count, step tallies, trace rows, divergence guard, and the
+    budget gate. The algorithm bodies are private methods in _RUNNERS."""
 
     def __init__(self, oracle, cfg):
         full_pass = oracle.n * cfg.zo.izo_per_estimate
@@ -115,16 +118,15 @@ class _Run:
                 % (cfg.izo_budget, full_pass)
             )
         if cfg.p is not None and not 1 <= cfg.p <= oracle.n:
-            raise ValueError("need 1 <= p <= n")
+            raise ValueError("need 1 <= p <= n, got p=%d n=%d" % (cfg.p, oracle.n))
         self.oracle = oracle
         self.cfg = cfg
-        self.counters = QueryCounters()
         self.idx_rng = spawn_stream(cfg.seed, "indices")
         self.mem_rng = spawn_stream(cfg.seed, "memory-sets")
         self.est = ZoComponentEstimator(
-            oracle, cfg.zo, spawn_stream(cfg.seed, "directions"), self.counters,
-            cfg.shared_directions,
+            oracle, cfg.zo, spawn_stream(cfg.seed, "directions"), cfg.shared_directions
         )
+        self.nht = 0
         self.theta = (
             np.zeros(cfg.zo.d) if cfg.theta0 is None else np.array(cfg.theta0, float)
         )
@@ -138,11 +140,14 @@ class _Run:
         if not np.isfinite(f0):
             raise ValueError("objective is non-finite at the initial point")
         self.guard_level = DIVERGENCE_FACTOR * (1.0 + abs(f0))
-        self.rows.append((0, 0, f0, nnz(self.theta)))
+        self._record(f0)
         self.start = time.perf_counter()
 
+    def _record(self, fval):
+        self.rows.append((self.est.izo, self.nht, fval, nnz(self.theta)))
+
     def budget_left(self):
-        return self.counters.izo < self.cfg.izo_budget and not self.diverged
+        return self.est.izo < self.cfg.izo_budget and not self.diverged
 
     def sample_index(self):
         return int(self.idx_rng.integers(self.oracle.n))
@@ -152,7 +157,8 @@ class _Run:
         False; records and guards."""
         theta = self.theta - self.cfg.eta * grad
         if threshold:
-            theta = hard_threshold(theta, self.cfg.k, self.counters)
+            theta = hard_threshold(theta, self.cfg.k)
+            self.nht += 1
         self.theta = theta
         self.steps_done += 1
         fval = self.oracle.mean_value(self.theta)
@@ -162,25 +168,19 @@ class _Run:
             self.diverged = True
             return
         if self.steps_done % self.cfg.record_every == 0:
-            self.rows.append(
-                (self.counters.izo, self.counters.nht, fval, nnz(self.theta))
-            )
+            self._record(fval)
 
     def finish(self):
         fval = self.oracle.mean_value(self.theta)
-        if np.isfinite(fval) and fval <= self.guard_level and (
-            not self.rows or self.rows[-1][0] < self.counters.izo
-        ):
-            self.rows.append(
-                (self.counters.izo, self.counters.nht, fval, nnz(self.theta))
-            )
+        if np.isfinite(fval) and fval <= self.guard_level and self.rows[-1][0] < self.est.izo:
+            self._record(fval)
         return RunTrace(
             rows=self.rows,
             final_theta=self.theta,
             config=self.cfg,
             wall_time=time.perf_counter() - self.start,
-            izo=self.counters.izo,
-            nht=self.counters.nht,
+            izo=self.est.izo,
+            nht=self.nht,
             diverged=self.diverged,
             iterations=self.iterations,
             epochs=self.epochs,
@@ -270,10 +270,22 @@ _RUNNERS = {
 
 def run_solver(oracle, cfg):
     """Run cfg.algorithm on the oracle until the IZO budget is spent or
-    the divergence guard trips; the only solver entry point."""
+    the divergence guard trips; the only solver entry point. Raises
+    RuntimeError unless trace.izo equals ``expected_izo`` and, from a
+    k-sparse start (the default zero start is one) without the raw sarah
+    first step, every recorded iterate and the final one are k-sparse."""
     run = _Run(oracle, cfg)
     _RUNNERS[cfg.algorithm](run)
-    return run.finish()
+    trace = run.finish()
+    want = expected_izo(oracle.n, trace)
+    if trace.izo != want:
+        raise RuntimeError(
+            "%s: trace.izo %d != expected_izo %d" % (cfg.algorithm, trace.izo, want)
+        )
+    worst = max(max(row[3] for row in trace.rows), nnz(trace.final_theta))
+    if worst > cfg.k and trace.rows[0][3] <= cfg.k and not cfg.sarah_first_step_raw:
+        raise RuntimeError("%s: nnz %d exceeds k = %d" % (cfg.algorithm, worst, cfg.k))
+    return trace
 
 
 def expected_izo(oracle_n, trace):
@@ -324,11 +336,10 @@ def gradient_squared_decomposition(
     theta = np.asarray(theta, dtype=np.float64)
     dir_rng = spawn_stream(seed, "directions")
     idx_rng = spawn_stream(seed, "indices")
-    scratch = QueryCounters()
     if exact:
         source = ExactComponentEstimator(oracle)
     else:
-        source = ZoComponentEstimator(oracle, cfg, dir_rng, scratch, shared_directions)
+        source = ZoComponentEstimator(oracle, cfg, dir_rng, shared_directions)
 
     if estimator == "svrg" and snapshot is None:
         snapshot = take_snapshot(source, theta)

@@ -20,19 +20,20 @@ UPDATE_LAWS = (LAW_P_SAGA, LAW_SVRG_VARIANT)
 
 
 class ZoComponentEstimator:
-    """Zeroth-order per-component gradient source. Each single estimate
-    costs q + 1 IZO; a coupled pair costs 2(q + 1)."""
+    """Zeroth-order per-component gradient source; ``izo`` tallies its
+    cost: q + 1 per single estimate, 2(q + 1) per coupled pair."""
 
-    def __init__(self, oracle, cfg, rng, counters, shared_directions=False):
+    def __init__(self, oracle, cfg, rng, shared_directions=False):
         self.oracle = oracle
         self.cfg = cfg
         self.rng = rng
-        self.counters = counters
         self.shared_directions = shared_directions
+        self.izo = 0
 
     def estimate(self, i, theta, directions=None):
+        self.izo += self.cfg.izo_per_estimate
         f = lambda th, i=i: self.oracle.component(i, th)
-        return zo_gradient(f, theta, self.cfg, self.rng, self.counters, directions)
+        return zo_gradient(f, theta, self.cfg, self.rng, directions)
 
     def estimate_pair(self, i, theta_a, theta_b):
         """Estimates of grad f_i at two points. Directions are independent

@@ -106,14 +106,14 @@ def _check_mu(cfg, theta):
         )
 
 
-def zo_gradient(f, theta, cfg, rng, counters=None, directions=None):
+def zo_gradient(f, theta, cfg, rng, directions=None):
     """Forward-difference gradient estimate of a scalar function at theta,
     as a (d,) array.
 
-    ``f`` must be an uncounted scalar callable; IZO is charged here, one
-    unit per evaluation (``cfg.izo_per_estimate`` in all). Pass
-    ``directions`` (a (q, d) array) to reuse a frozen direction set, e.g.
-    to couple two estimates.
+    Makes ``cfg.izo_per_estimate`` evaluations of ``f`` and charges none
+    of them; the caller keeps the tally (``vr.ZoComponentEstimator.izo``).
+    Pass ``directions`` (a (q, d) array) to reuse a frozen direction set,
+    e.g. to couple two estimates.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (cfg.d,):
@@ -126,8 +126,6 @@ def zo_gradient(f, theta, cfg, rng, counters=None, directions=None):
             "directions shape %s does not match (q, d) = (%d, %d)"
             % (directions.shape, cfg.q, cfg.d)
         )
-    if counters is not None:
-        counters.izo += cfg.izo_per_estimate
     base = f(theta)
     values = np.empty(cfg.q)
     rows = max(1, PROBE_BLOCK // cfg.d)

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from zoht.core import QueryCounters, nnz, spawn_stream
+from zoht.core import nnz, spawn_stream
 from zoht.harness import ExperimentSpec, run_experiment
 from zoht.ht import expansivity_ratio, hard_threshold
 from zoht.problems import attack_surrogate_problem, ridge_synthetic
@@ -176,8 +176,7 @@ def test_criterion_05_variance_reduction_witness():
                      izo_budget=20_000, seed=1, m=10, record_every=50),
     )
     theta = mid.final_theta
-    counters = QueryCounters()
-    est = ZoComponentEstimator(problem, zo, spawn_stream(107, "directions"), counters)
+    est = ZoComponentEstimator(problem, zo, spawn_stream(107, "directions"))
     snap = take_snapshot(est, theta)
     idx = spawn_stream(108, "indices")
     n_samples = 10_000

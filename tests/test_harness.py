@@ -45,6 +45,21 @@ def test_spec_validation():
         _tiny_spec(select="middle")
 
 
+def test_bad_p_or_law_fails_before_first_cell(monkeypatch):
+    # pm-szht runs last in this line-up, so a late check would first run
+    # the szoht and vr cells
+    calls = []
+    monkeypatch.setattr("zoht.harness.run_solver", lambda *args: calls.append(args))
+    algos = ["szoht", "vr", "saga"]
+    for p in (0, 6):
+        with pytest.raises(ValueError, match="p=%d n=5" % p):
+            run_experiment(_tiny_spec(algorithms=algos, m=2, p=p))
+    with pytest.raises(ValueError, match="'bogus'"):
+        run_experiment(_tiny_spec(algorithms=algos, m=2, law="bogus"))
+    assert calls == []
+    _tiny_spec(algorithms=["szoht"], p=6)  # p is only checked for pm-szht
+
+
 def test_select_best_eta_pure_rule():
     assert select_best_eta({0.1: 3.0, 0.01: 1.0}) == 0.01
     # ties break toward the smaller eta

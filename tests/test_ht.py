@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from zoht.core import QueryCounters, nnz
+from zoht.core import nnz
 from zoht.ht import expansivity_ratio, hard_threshold
 from zoht.theory import alpha
 
@@ -55,13 +55,6 @@ def test_k_zero_and_k_too_large():
     np.testing.assert_array_equal(hard_threshold(v, 0), [0.0, 0.0])
     with pytest.raises(ValueError):
         hard_threshold(v, 3)
-
-
-def test_nht_counting():
-    counters = QueryCounters()
-    hard_threshold(np.array([1.0, 2.0]), 1, counters)
-    hard_threshold(np.array([1.0, 2.0]), 1, counters)
-    assert counters.nht == 2
 
 
 def test_idempotence():

@@ -5,14 +5,19 @@ import pytest
 
 from zoht.core import FunctionOracle, spawn_stream
 from zoht.ht import hard_threshold
-from zoht.problems import ridge_synthetic
+from zoht.problems import RidgeProblem, ridge_synthetic
 from zoht.solvers import (
     SolverConfig,
     expected_izo,
     gradient_squared_decomposition,
     run_solver,
 )
-from zoht.vr import ExactComponentEstimator, svrg_gradient, take_snapshot
+from zoht.vr import (
+    ExactComponentEstimator,
+    ZoComponentEstimator,
+    svrg_gradient,
+    take_snapshot,
+)
 from zoht.zo import ZoEstimatorConfig
 
 
@@ -191,6 +196,63 @@ def test_all_solvers_seed_deterministic_and_sparse():
         assert expected_izo(problem.n, t1) == t1.izo
         assert t1.izo >= cfg.izo_budget
         assert t1.nht == t1.column("nht")[-1]
+
+
+class CountingRidge(RidgeProblem):
+    """Ridge that counts ``component`` calls. Its vectorised mean_value
+    never calls component, so every counted call is a probe."""
+
+    calls = 0
+
+    def component(self, i, theta):
+        self.calls += 1
+        return super().component(i, theta)
+
+
+def test_component_and_threshold_calls_match_trace(monkeypatch):
+    # the tier-1 twin of the traced benchmark's self-check: one component
+    # call per IZO and one hard_threshold call per NHT
+    base = ridge_synthetic(6, 5, 0.3, spawn_stream(9, "data-gen"))
+    zo = ZoEstimatorConfig(q=7, s2=5, mu=1e-4, d=5)
+    thresholds = []
+
+    def counting_threshold(v, k):
+        thresholds.append(k)
+        return hard_threshold(v, k)
+
+    monkeypatch.setattr("zoht.solvers.hard_threshold", counting_threshold)
+    algos = ("szoht", "fgzoht", "pm-szht", "vr-szht", "sarah-szht")
+    for algo, shared in itertools.product(algos, (False, True)):
+        problem = CountingRidge(base.X, base.y, base.lam)
+        thresholds.clear()
+        cfg = _cfg(algo, eta=0.05, k=3, zo=zo, budget=600, seed=4, m=3, p=2,
+                   shared_directions=shared)
+        trace = run_solver(problem, cfg)
+        assert not trace.diverged
+        assert problem.calls == trace.izo > 0
+        assert len(thresholds) == trace.nht == trace.column("nht")[-1] > 0
+
+
+def test_izo_overcharge_caught_at_end_of_run(monkeypatch):
+    problem = ridge_synthetic(5, 4, 0.1, spawn_stream(0, "data-gen"))
+    zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
+    estimate = ZoComponentEstimator.estimate
+
+    def overcharging(self, i, theta, directions=None):
+        self.izo += 1
+        return estimate(self, i, theta, directions)
+
+    monkeypatch.setattr(ZoComponentEstimator, "estimate", overcharging)
+    with pytest.raises(RuntimeError, match="szoht: trace.izo 204 != expected_izo 187"):
+        run_solver(problem, _cfg("szoht", eta=0.01, k=2, zo=zo, budget=200, seed=1))
+
+
+def test_nnz_above_k_caught_at_end_of_run(monkeypatch):
+    problem = ridge_synthetic(5, 4, 0.1, spawn_stream(0, "data-gen"))
+    zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
+    monkeypatch.setattr("zoht.solvers.hard_threshold", lambda v, k: v)
+    with pytest.raises(RuntimeError, match="fgzoht: nnz 4 exceeds k = 2"):
+        run_solver(problem, _cfg("fgzoht", eta=0.01, k=2, zo=zo, budget=200, seed=1))
 
 
 def test_budget_check_precedes_estimates():

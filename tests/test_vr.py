@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zoht.core import QueryCounters, spawn_stream
+from zoht.core import spawn_stream
 from zoht.ht import hard_threshold
 from zoht.problems import ridge_synthetic
 from zoht.vr import (
@@ -31,42 +31,39 @@ class _FixedUniformRng:
 
 
 def _zo_estimator(problem, q=10, mu=1e-5, seed=0, shared=False):
-    counters = QueryCounters()
-    est = ZoComponentEstimator(
+    return ZoComponentEstimator(
         problem,
         ZoEstimatorConfig(q=q, s2=problem.d, mu=mu, d=problem.d),
         spawn_stream(seed, "directions"),
-        counters,
         shared_directions=shared,
     )
-    return est, counters
 
 
 def test_svrg_variant_empty_branch_leaves_memory_untouched():
     problem = ridge_synthetic(4, 3, 0.1, spawn_stream(1, "data-gen"))
-    est, counters = _zo_estimator(problem)
+    est = _zo_estimator(problem)
     mem = init_gradient_memory(est, np.zeros(3), p=1, law=LAW_SVRG_VARIANT)
     table_before = mem.table.copy()
-    izo_before = counters.izo
+    izo_before = est.izo
     chosen = memory_update(mem, np.ones(3), est, _FixedUniformRng(0.99))
     assert chosen.size == 0
     np.testing.assert_array_equal(mem.table, table_before)
-    assert counters.izo == izo_before
+    assert est.izo == izo_before
 
 
 def test_svrg_variant_full_branch_refreshes_all():
     problem = ridge_synthetic(4, 3, 0.1, spawn_stream(1, "data-gen"))
-    est, counters = _zo_estimator(problem)
+    est = _zo_estimator(problem)
     mem = init_gradient_memory(est, np.zeros(3), p=1, law=LAW_SVRG_VARIANT)
-    izo_before = counters.izo
+    izo_before = est.izo
     chosen = memory_update(mem, np.ones(3), est, _FixedUniformRng(0.0))
     assert chosen.size == 4
-    assert counters.izo - izo_before == 4 * est.cfg.izo_per_estimate
+    assert est.izo - izo_before == 4 * est.cfg.izo_per_estimate
 
 
 def test_p_saga_full_refresh_when_p_equals_n():
     problem = ridge_synthetic(5, 3, 0.1, spawn_stream(2, "data-gen"))
-    est, _ = _zo_estimator(problem)
+    est = _zo_estimator(problem)
     mem = init_gradient_memory(est, np.zeros(3), p=5, law=LAW_P_SAGA)
     table_before = mem.table.copy()
     chosen = memory_update(mem, np.ones(3), est, spawn_stream(3, "memory-sets"))
@@ -141,7 +138,7 @@ def test_pm_exhaustive_unbiasedness():
 
 def test_memory_mean_consistency():
     problem = ridge_synthetic(7, 3, 0.1, spawn_stream(20, "data-gen"))
-    est, _ = _zo_estimator(problem, q=5)
+    est = _zo_estimator(problem, q=5)
     mem = init_gradient_memory(est, np.zeros(3), p=2, law=LAW_P_SAGA)
     rng = spawn_stream(21, "memory-sets")
     for t in range(50):
@@ -151,7 +148,7 @@ def test_memory_mean_consistency():
 
 def test_svrg_gradient_at_anchor_with_shared_directions():
     problem = ridge_synthetic(5, 3, 0.2, spawn_stream(30, "data-gen"))
-    est, _ = _zo_estimator(problem, shared=True)
+    est = _zo_estimator(problem, shared=True)
     theta = np.array([0.2, -0.5, 0.1])
     snap = take_snapshot(est, theta)
     for i_t in range(5):
@@ -174,16 +171,16 @@ def test_svrg_exhaustive_unbiasedness():
 
 def test_svrg_izo_cost():
     problem = ridge_synthetic(4, 3, 0.1, spawn_stream(50, "data-gen"))
-    est, counters = _zo_estimator(problem, q=10)
+    est = _zo_estimator(problem, q=10)
     snap = take_snapshot(est, np.zeros(3))
-    before = counters.izo
+    before = est.izo
     svrg_gradient(snap, np.ones(3), 2, est)
-    assert counters.izo - before == 22
+    assert est.izo - before == 22
 
 
 def test_sarah_step_at_same_point_with_shared_directions():
     problem = ridge_synthetic(4, 3, 0.2, spawn_stream(60, "data-gen"))
-    est, _ = _zo_estimator(problem, shared=True)
+    est = _zo_estimator(problem, shared=True)
     theta = np.array([0.4, 0.0, -0.2])
     state = sarah_init(est, theta)
     g, new_state = sarah_step(state, theta, 1, est)
@@ -246,8 +243,7 @@ def test_variance_reduction_witness_small():
         problem.X.T @ problem.y,
         rcond=None,
     )[0]
-    counters = QueryCounters()
-    est = ZoComponentEstimator(problem, cfg, spawn_stream(71, "directions"), counters)
+    est = ZoComponentEstimator(problem, cfg, spawn_stream(71, "directions"))
     snap = take_snapshot(est, theta_near)
     idx = spawn_stream(72, "indices")
     plain = np.stack(

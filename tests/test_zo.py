@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from zoht.core import QueryCounters, nnz, spawn_stream
+from zoht.core import nnz, spawn_stream
 from zoht.problems import ridge_synthetic
 from zoht.vr import ZoComponentEstimator
 from zoht.zo import (
@@ -126,11 +126,16 @@ def test_axis_enumeration_matches_central_difference():
 
 
 def test_izo_accounting():
+    class Square:
+        n = 1
+
+        def component(self, i, theta):
+            return float(theta @ theta)
+
     cfg = ZoEstimatorConfig(q=9, s2=2, mu=0.01, d=4)
-    counters = QueryCounters()
-    rng = spawn_stream(6, "directions")
-    zo_gradient(lambda th: float(th @ th), np.ones(4), cfg, rng, counters)
-    assert counters.izo == 10 == cfg.izo_per_estimate
+    est = ZoComponentEstimator(Square(), cfg, spawn_stream(6, "directions"))
+    est.estimate(0, np.ones(4))
+    assert est.izo == 10 == cfg.izo_per_estimate
 
 
 def test_probe_blocks_match_direct_formula():
@@ -210,6 +215,15 @@ def test_degenerate_mu_rejected():
     cfg = ZoEstimatorConfig(q=1, s2=1, mu=1e-14, d=2)
     with pytest.raises(ValueError):
         zo_gradient(lambda th: 0.0, np.zeros(2), cfg, spawn_stream(12, "directions"))
+    # The floor scales with the iterate: 1e-12 * (1 + 1e4) ~ 1.0001e-8 at
+    # theta = 1e4 * e_1, so mu = 1e-8 is below it and mu = 2e-8 above it.
+    theta = np.array([1e4, 0.0])
+    with pytest.raises(ValueError, match="numeric floor"):
+        zo_gradient(lambda th: 0.0, theta, ZoEstimatorConfig(q=1, s2=1, mu=1e-8, d=2),
+                    spawn_stream(12, "directions"))
+    g = zo_gradient(lambda th: 0.0, theta, ZoEstimatorConfig(q=1, s2=1, mu=2e-8, d=2),
+                    spawn_stream(12, "directions"))
+    np.testing.assert_array_equal(g, [0.0, 0.0])
 
 
 def test_non_finite_value_carries_point():
@@ -241,11 +255,9 @@ def test_full_gradient_reduces_to_single_for_n_1():
 def test_full_gradient_izo():
     problem = ridge_synthetic(10, 5, 0.5, spawn_stream(16, "data-gen"))
     cfg = ZoEstimatorConfig(q=200, s2=5, mu=1e-4, d=5)
-    counters = QueryCounters()
-    ZoComponentEstimator(
-        problem, cfg, spawn_stream(17, "directions"), counters
-    ).full(np.zeros(5))
-    assert counters.izo == 10 * 201 == 2010
+    est = ZoComponentEstimator(problem, cfg, spawn_stream(17, "directions"))
+    est.full(np.zeros(5))
+    assert est.izo == 10 * 201 == 2010
 
 
 def test_full_gradient_identical_linear_components():
@@ -257,7 +269,7 @@ def test_full_gradient_identical_linear_components():
             return float(theta[0] - 2.0 * theta[1])
 
     cfg = ZoEstimatorConfig(q=4, s2=2, mu=1e-4, d=2)
-    estimator = ZoComponentEstimator(Linear(), cfg, spawn_stream(18, "directions"), None)
+    estimator = ZoComponentEstimator(Linear(), cfg, spawn_stream(18, "directions"))
     draws = np.stack([estimator.full(np.zeros(2)) for _ in range(20_000)])
     err = np.abs(draws.mean(axis=0) - np.array([1.0, -2.0]))
     tol = 3.0 * draws.std(axis=0) / np.sqrt(len(draws))
