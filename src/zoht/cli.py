@@ -26,7 +26,7 @@ from .theory import (
     szoht_conditions,
     vrszht_eta_interval,
 )
-from .vr import LAW_P_SAGA, LAW_SVRG_VARIANT
+from .vr import LAW_P_SAGA, UPDATE_LAWS
 from .zo import ZoEstimatorConfig
 
 DEFAULT_ALGOS = "fgzoht,szoht,vr,saga,sarah"
@@ -73,7 +73,7 @@ def _add_run_options(sub, k, q, mu, m, budget, eta_grid):
     sub.add_argument("--eta-grid", type=_comma_floats, default=_comma_floats(eta_grid))
     sub.add_argument("--algos", type=_comma_algos, default=_comma_algos(DEFAULT_ALGOS))
     sub.add_argument("--p", type=int, default=1, help="memory update rate")
-    sub.add_argument("--law", choices=[LAW_P_SAGA, LAW_SVRG_VARIANT], default=LAW_P_SAGA)
+    sub.add_argument("--law", choices=UPDATE_LAWS, default=LAW_P_SAGA)
     sub.add_argument("--record-every", type=int, default=1)
     sub.add_argument("--select", choices=["final", "min"], default="final")
     sub.add_argument("--workers", type=int, default=1)

@@ -78,16 +78,15 @@ class ExperimentResult:
 
 
 def _solver_config(spec, token, eta, seed):
-    algo = ALGO_TOKENS[token]
     return SolverConfig(
-        algorithm=algo,
+        algorithm=ALGO_TOKENS[token],
         eta=eta,
         k=spec.k,
         zo=spec.zo,
         izo_budget=spec.izo_budget,
         seed=seed,
-        m=spec.m if algo in ("vr-szht", "sarah-szht") else None,
-        p=spec.p if algo == "pm-szht" else None,
+        m=spec.m,
+        p=spec.p,
         law=spec.law,
         record_every=spec.record_every,
     )
@@ -213,7 +212,9 @@ def emit_csv(result, out_dir):
                  % (spec.k, spec.zo.q, _fmt(spec.zo.mu), spec.zo.s2))
         if spec.m is not None:
             fh.write("m=%d\n" % spec.m)
-        fh.write("p=%d\nlaw=%s\n" % (spec.p, spec.law))
+        if spec.p is not None:
+            fh.write("p=%d\n" % spec.p)
+        fh.write("law=%s\n" % spec.law)
         fh.write("select=%s\n" % spec.select)
         fh.write("rng=%s\n" % RNG_DESCRIPTION)
         fh.write("note=%s\n" % EPS_IC_TYPO_NOTE)

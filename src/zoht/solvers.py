@@ -117,8 +117,6 @@ class _Run:
                 "izo_budget %d below one full pass n(q+1) = %d"
                 % (cfg.izo_budget, full_pass)
             )
-        if cfg.p is not None and not 1 <= cfg.p <= oracle.n:
-            raise ValueError("need 1 <= p <= n, got p=%d n=%d" % (cfg.p, oracle.n))
         self.oracle = oracle
         self.cfg = cfg
         self.idx_rng = spawn_stream(cfg.seed, "indices")
@@ -199,7 +197,7 @@ class _Run:
     def _fgzoht(self):
         """Full zeroth-order gradient per iteration (n(q+1) IZO, 1 NHT)."""
         while self.budget_left():
-            self.descend(self.est.full(self.theta))
+            self.descend(self.est.full(self.theta).mean(axis=0))
             self.iterations += 1
 
     def _pm_szht(self):
@@ -318,7 +316,6 @@ def gradient_squared_decomposition(
     seed,
     estimator="szoht",
     exact=False,
-    snapshot=None,
     shared_directions=False,
 ):
     """Monte Carlo split of a gradient estimator's second moment at theta
@@ -327,8 +324,8 @@ def gradient_squared_decomposition(
 
     ``estimator`` selects among the five constructions; ``exact`` swaps
     the zeroth-order source for exact component gradients (diagnostic
-    mode). Snapshot/memory/recursion states are built once at theta (or
-    use the supplied ``snapshot``), then held fixed across samples.
+    mode). Snapshot/memory/recursion states are built once at theta, then
+    held fixed across samples.
     Refused below 100 samples.
     """
     if samples < 100:
@@ -341,9 +338,9 @@ def gradient_squared_decomposition(
     else:
         source = ZoComponentEstimator(oracle, cfg, dir_rng, shared_directions)
 
-    if estimator == "svrg" and snapshot is None:
+    snapshot = memory = state = None
+    if estimator == "svrg":
         snapshot = take_snapshot(source, theta)
-    memory = state = None
     if estimator == "pm":
         memory = init_gradient_memory(source, theta, p=1, law=LAW_P_SAGA)
     if estimator == "sarah":
@@ -351,7 +348,7 @@ def gradient_squared_decomposition(
 
     def draw():
         if estimator == "fgzoht":
-            return source.full(theta)
+            return source.full(theta).mean(axis=0)
         i = int(idx_rng.integers(oracle.n))
         if estimator == "szoht":
             return source.estimate(i, theta)

@@ -49,7 +49,7 @@ class TheoryParams:
         if self.q < 1 or self.n < 1:
             raise ValueError("q and n must be >= 1")
         if self.p is not None and not 1 <= self.p <= self.n:
-            raise ValueError("need 1 <= p <= n")
+            raise ValueError("need 1 <= p <= n, got p=%d n=%d" % (self.p, self.n))
         if self.m is not None and self.m < 1:
             raise ValueError("need m >= 1")
 
@@ -145,14 +145,23 @@ def szoht_conditions(tp):
     return k_lower, k_upper, q_lower
 
 
-def _solve_downward_quadratic(a, b, c):
-    """Roots of a*x^2 + b*x + c = 0 with a > 0, returned as (disc, lo, hi);
-    lo/hi are nan when the discriminant is negative."""
+def _root_interval(a, b, c, upper=lambda hi: hi, need_two_roots=False):
+    """EtaInterval between the roots of a*eta^2 + b*eta + c (a > 0), the
+    upper root passed through ``upper``. Empty, with nan endpoints, when
+    the discriminant is negative, or zero with ``need_two_roots``; ``roots``
+    is None exactly when the discriminant is negative."""
     disc = b * b - 4.0 * a * c
-    if disc < 0:
-        return disc, math.nan, math.nan
-    root = math.sqrt(disc)
-    return disc, (-b - root) / (2.0 * a), (-b + root) / (2.0 * a)
+    roots = None
+    lo = hi = math.nan
+    if not disc < 0:
+        root = math.sqrt(disc)
+        roots = ((-b - root) / (2.0 * a), (-b + root) / (2.0 * a))
+        if disc > 0 or not need_two_roots:
+            lo, hi = roots[0], upper(roots[1])
+    return EtaInterval(
+        lo=lo, hi=hi, nonempty=lo <= hi, discriminant=disc,
+        coeffs=(a, b, c), roots=roots,
+    )
 
 
 def pm_eta_interval(tp, eps_I=None):
@@ -169,20 +178,12 @@ def pm_eta_interval(tp, eps_I=None):
     if eps_I is None:
         eps_I = epsilon_constants(tp).eps_I
     a = alpha(tp.k, tp.kstar)
-    big_a = 48.0 * eps_I * a * tp.rho_plus + tp.rho_minus
-    big_c = 1.0 - tp.p / tp.n + 2.0 / tp.rho_minus
-    disc, root_lo, root_hi = _solve_downward_quadratic(big_a, -2.0 * a, big_c)
-    if disc > 0:
-        lo = root_lo
-        hi = max(root_hi, 1.0 / (48.0 * eps_I * tp.rho_plus))
-        nonempty = lo <= hi
-    else:
-        lo = hi = math.nan
-        nonempty = False
-    return EtaInterval(
-        lo=lo, hi=hi, nonempty=nonempty, discriminant=disc,
-        coeffs=(big_a, -2.0 * a, big_c),
-        roots=None if disc < 0 else (root_lo, root_hi),
+    return _root_interval(
+        48.0 * eps_I * a * tp.rho_plus + tp.rho_minus,
+        -2.0 * a,
+        1.0 - tp.p / tp.n + 2.0 / tp.rho_minus,
+        upper=lambda hi: max(hi, 1.0 / (48.0 * eps_I * tp.rho_plus)),
+        need_two_roots=True,
     )
 
 
@@ -201,18 +202,8 @@ def vrszht_eta_interval(tp, eps_I=None):
     rm, rp = tp.rho_minus, tp.rho_plus
     lead = 48.0 * eps_I * a * rm * rp + rm ** 2
     recommended = a * rm / (2.0 * lead)
-    disc, root_lo, root_hi = _solve_downward_quadratic(lead, -a * rm, a - 1.0)
-    if disc >= 0:
-        lo = root_lo
-        hi = min(root_hi, 1.0 / (48.0 * eps_I * rp))
-        nonempty = lo <= hi
-    else:
-        lo = hi = math.nan
-        nonempty = False
-    interval = EtaInterval(
-        lo=lo, hi=hi, nonempty=nonempty, discriminant=disc,
-        coeffs=(lead, -a * rm, a - 1.0),
-        roots=None if disc < 0 else (root_lo, root_hi),
+    interval = _root_interval(
+        lead, -a * rm, a - 1.0, upper=lambda hi: min(hi, 1.0 / (48.0 * eps_I * rp))
     )
     return interval, recommended
 
@@ -226,13 +217,7 @@ def sarah_eta_interval(tp, eps_I=None):
         eps_I = epsilon_constants(tp).eps_I
     a = alpha(tp.k, tp.kstar)
     lead = 48.0 * eps_I * a * tp.rho_plus + a * tp.rho_minus
-    disc, root_lo, root_hi = _solve_downward_quadratic(lead, -a, a - 1.0)
-    nonempty = disc >= 0
-    return EtaInterval(
-        lo=root_lo, hi=root_hi, nonempty=nonempty, discriminant=disc,
-        coeffs=(lead, -a, a - 1.0),
-        roots=None if disc < 0 else (root_lo, root_hi),
-    )
+    return _root_interval(lead, -a, a - 1.0)
 
 
 def complexity_estimate(tp, target_eps):

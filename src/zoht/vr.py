@@ -45,11 +45,9 @@ class ZoComponentEstimator:
         return self.estimate(i, theta_a, dirs), self.estimate(i, theta_b, dirs)
 
     def full(self, theta):
-        """Mean over all components, fresh directions each: n(q+1) IZO."""
-        total = np.zeros(self.cfg.d)
-        for i in range(self.oracle.n):
-            total += self.estimate(i, theta)
-        return total / self.oracle.n
+        """The full pass: one estimate per component at theta, fresh
+        directions each, as (n, d) rows; n(q+1) IZO."""
+        return np.stack([self.estimate(i, theta) for i in range(self.oracle.n)])
 
 
 class ExactComponentEstimator:
@@ -69,7 +67,7 @@ class ExactComponentEstimator:
         )
 
     def full(self, theta):
-        return self.oracle.mean_gradient(theta)
+        return np.stack([self.estimate(i, theta) for i in range(self.oracle.n)])
 
 
 @dataclass
@@ -79,7 +77,8 @@ class GradientMemory:
     Under either update law each index is refreshed with marginal
     probability p/n per iteration: the size-p-subset law draws J uniform
     over size-p subsets; the all-or-nothing law draws J = [n] with
-    probability p/n and J = {} otherwise.
+    probability p/n and J = {} otherwise. ``init_gradient_memory`` checks
+    p and the law; the fields are not validated again here.
     """
 
     table: np.ndarray          # (n, d) stored estimates
@@ -88,12 +87,6 @@ class GradientMemory:
     law: str
     updates_since_sync: int = 0
     total_updates: int = 0
-
-    def __post_init__(self):
-        if self.law not in UPDATE_LAWS:
-            raise ValueError("unknown update law %r" % self.law)
-        if not 1 <= self.p <= self.table.shape[0]:
-            raise ValueError("need 1 <= p <= n")
 
     @property
     def n(self):
@@ -105,12 +98,15 @@ class GradientMemory:
 
 
 def init_gradient_memory(estimator, theta, p, law):
-    """Fill the table with one full pass at theta (n(q+1) IZO for the
-    zeroth-order source)."""
+    """Check the law and 1 <= p <= n, then fill the table with one full
+    pass at theta (n(q+1) IZO for the zeroth-order source)."""
     n = estimator.oracle.n
-    table = np.stack([estimator.estimate(j, theta) for j in range(n)])
-    mem = GradientMemory(table=table, mean=table.mean(axis=0), p=p, law=law)
-    return mem
+    if law not in UPDATE_LAWS:
+        raise ValueError("unknown update law %r" % law)
+    if not 1 <= p <= n:
+        raise ValueError("need 1 <= p <= n, got p=%d n=%d" % (p, n))
+    table = estimator.full(theta)
+    return GradientMemory(table=table, mean=table.mean(axis=0), p=p, law=law)
 
 
 def draw_update_set(mem, rng):
@@ -154,7 +150,7 @@ class SvrgSnapshot:
 
 def take_snapshot(estimator, theta):
     """Anchor the snapshot estimator at theta (n(q+1) IZO)."""
-    return SvrgSnapshot(anchor=np.array(theta), anchor_grad=estimator.full(theta))
+    return SvrgSnapshot(np.array(theta), estimator.full(theta).mean(axis=0))
 
 
 def svrg_gradient(snap, theta, i_t, estimator):
@@ -173,7 +169,7 @@ class SarahState:
 def sarah_init(estimator, theta):
     """Epoch start: the recursion is seeded with the full estimate at the
     anchor (n(q+1) IZO)."""
-    return SarahState(g_prev=estimator.full(theta), theta_prev=np.array(theta))
+    return SarahState(estimator.full(theta).mean(axis=0), np.array(theta))
 
 
 def sarah_step(state, theta, i_t, estimator):

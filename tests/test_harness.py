@@ -120,6 +120,12 @@ def test_csv_schemas(tmp_path):
     meta = [p for p in paths if p.endswith("meta.txt")][0]
     text = open(meta).read()
     assert "rng=" in text and "best_eta_szoht=" in text and "misprint" in text
+    assert "\np=1\n" in text
+    # without pm-szht, p may be unset: meta.txt then omits it, as it does m
+    spec = _tiny_spec(algorithms=["szoht"], eta_grid=[0.02], seeds=[5], p=None)
+    paths = emit_csv(run_experiment(spec), str(tmp_path / "no_p"))
+    text = open([p for p in paths if p.endswith("meta.txt")][0]).read()
+    assert "\np=" not in text and "\nm=" not in text and "law=p-saga" in text
 
 
 def test_empty_trace_writes_header_only(tmp_path):

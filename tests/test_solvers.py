@@ -5,7 +5,7 @@ import pytest
 
 from zoht.core import FunctionOracle, spawn_stream
 from zoht.ht import hard_threshold
-from zoht.problems import RidgeProblem, ridge_synthetic
+from zoht.problems import RidgeProblem, attack_surrogate_problem, ridge_synthetic
 from zoht.solvers import (
     SolverConfig,
     expected_izo,
@@ -196,6 +196,47 @@ def test_all_solvers_seed_deterministic_and_sparse():
         assert expected_izo(problem.n, t1) == t1.izo
         assert t1.izo >= cfg.izo_budget
         assert t1.nht == t1.column("nht")[-1]
+
+
+class ScaledOracle(FunctionOracle):
+    """``base`` with every value multiplied by ``factor`` (a power of two,
+    so the scaling is exact)."""
+
+    def __init__(self, base, factor):
+        self.base, self.factor, self.n = base, factor, base.n
+
+    def component(self, i, theta):
+        return self.base.component(i, theta) * self.factor
+
+    def mean_value(self, theta):
+        return self.base.mean_value(theta) * self.factor
+
+
+def test_power_of_two_scaling_is_exact():
+    # f * 2^j run with eta * 2^-j takes the same path bit for bit: every
+    # estimate scales by 2^j exactly, and eta * 2^-j undoes it. (The
+    # guard level 1e12 (1 + |F0|) does not scale, so no run may diverge.)
+    cases = (
+        (ridge_synthetic(6, 5, 0.3, spawn_stream(9, "data-gen")), 5, 0.05),
+        (ridge_synthetic(6, 30, 0.3, spawn_stream(19, "data-gen")), 4, 0.05),
+        (attack_surrogate_problem(4, 12, 5, spawn_stream(0, "data-gen")), 12, 0.01),
+    )
+    algos = ("szoht", "fgzoht", "pm-szht", "vr-szht", "sarah-szht")
+    for (problem, s2, eta), algo, (j, shared) in itertools.product(
+        cases, algos, ((-3, False), (5, True))
+    ):
+        zo = ZoEstimatorConfig(q=12, s2=s2, mu=1e-4, d=problem.d)
+        kw = dict(k=3, zo=zo, budget=1500, seed=11, m=3, p=2, shared_directions=shared)
+        plain = run_solver(problem, _cfg(algo, eta=eta, **kw))
+        scaled = run_solver(ScaledOracle(problem, 2.0 ** j),
+                            _cfg(algo, eta=eta * 2.0 ** -j, **kw))
+        assert not plain.diverged and not scaled.diverged
+        assert scaled.final_theta.tobytes() == plain.final_theta.tobytes()
+        for name in ("izo", "nht", "nnz"):
+            np.testing.assert_array_equal(scaled.column(name), plain.column(name))
+        np.testing.assert_array_equal(
+            scaled.column("fval"), plain.column("fval") * 2.0 ** j
+        )
 
 
 class CountingRidge(RidgeProblem):

@@ -244,5 +244,5 @@ def test_theory_params_validation():
         _tp(rho_minus=2.0, rho_plus=1.0)
     with pytest.raises(ValueError):
         _tp(s2=9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p=11 n=10"):
         _tp(p=11)

@@ -268,3 +268,10 @@ def test_memory_law_validation():
     mem = init_gradient_memory(est, np.zeros(2), p=1, law=LAW_P_SAGA)
     with pytest.raises(ValueError):
         pm_gradient(mem, np.zeros(2), 5, est)
+    # the rules are checked before the full pass spends any IZO
+    bad = ((0, LAW_P_SAGA, "p=0 n=3"), (4, LAW_P_SAGA, "p=4 n=3"), (1, "bogus", "bogus"))
+    for p, law, match in bad:
+        zo_est = _zo_estimator(problem)
+        with pytest.raises(ValueError, match=match):
+            init_gradient_memory(zo_est, np.zeros(2), p=p, law=law)
+        assert zo_est.izo == 0
