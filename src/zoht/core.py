@@ -70,6 +70,13 @@ class FunctionOracle:
     No method here charges IZO: ``vr.ZoComponentEstimator`` charges each
     estimate it makes, and direct calls are the uncounted handle used
     for out-of-band measurement (e.g. trace function values).
+
+    Cost, for people who write a black box: a zeroth-order estimate calls
+    ``component`` once per IZO, and the default ``mean_value`` calls it n
+    more times per solver step for the divergence guard. On small inputs
+    (tens of coordinates or classes) numpy's per-call overhead, not the
+    arithmetic, sets that cost, so prefer array methods (``a.max()``,
+    ``a.sum()``) and in-place ufuncs over extra temporaries.
     """
 
     n = None          # component count, set by subclass
@@ -84,7 +91,8 @@ class FunctionOracle:
         )
 
     def mean_value(self, theta):
-        """F(theta), uncounted. Subclasses may vectorize."""
+        """F(theta), uncounted: n ``component`` calls. Subclasses may
+        vectorize."""
         return sum(self.component(i, theta) for i in range(self.n)) / self.n
 
     def mean_gradient(self, theta):

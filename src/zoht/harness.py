@@ -92,9 +92,18 @@ def _solver_config(spec, token, eta, seed):
     )
 
 
-def _run_cell(args):
-    problem, cfg = args
-    return run_solver(problem, cfg)
+# The problem a pool worker runs its cells on, set once per worker by
+# _init_worker so that each job sends only its SolverConfig.
+_worker_problem = None
+
+
+def _init_worker(problem):
+    global _worker_problem
+    _worker_problem = problem
+
+
+def _run_cell(cfg):
+    return run_solver(_worker_problem, cfg)
 
 
 def step_resample(x_points, y_points, grid):
@@ -144,12 +153,14 @@ def run_experiment(spec, workers=1):
         for eta in spec.eta_grid
         for seed in spec.seeds
     ]
-    jobs = [(spec.problem, _solver_config(spec, *cell)) for cell in cells]
+    configs = [_solver_config(spec, *cell) for cell in cells]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(_run_cell, jobs))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(spec.problem,)
+        ) as pool:
+            outs = list(pool.map(_run_cell, configs))
     else:
-        outs = [_run_cell(job) for job in jobs]
+        outs = [run_solver(spec.problem, cfg) for cfg in configs]
     traces = dict(zip(cells, outs))
 
     best_eta = {}

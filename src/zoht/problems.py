@@ -176,8 +176,8 @@ class LinearSoftmaxClassifier(BlackBoxClassifier):
 
 
 def _logsumexp(v):
-    m = np.max(v)
-    return m + np.log(np.sum(np.exp(v - m)))
+    m = v.max()
+    return m + np.log(np.exp(v - m).sum())
 
 
 def surrogate_classifier(d_image, num_classes, rng):
@@ -211,24 +211,36 @@ class CwAttackProblem(FunctionOracle):
         self.labels = labels
         self.classifier = classifier
         self.n, self.d = images.shape
+        # Row t lists every class but t, in order: the rivals of label t.
+        classes = np.arange(classifier.num_classes)
+        self._rivals = np.array([np.delete(classes, t) for t in classes])
 
     def component(self, i, theta):
         return cw_loss(self, i, theta)
 
     def attacked_image(self, i, theta):
-        return np.clip(self.images[i] + theta, PIXEL_LO, PIXEL_HI)
+        """images[i] + theta clipped to the pixel box, as a fresh array
+        (the values of ``np.clip``, nan and -0.0 included)."""
+        x = self.images[i] + theta
+        np.maximum(x, PIXEL_LO, out=x)
+        np.minimum(x, PIXEL_HI, out=x)
+        return x
 
 
 def cw_loss(problem, i, theta):
     """Hinge margin of the true class over the best other class at the
-    clipped perturbed image."""
+    clipped perturbed image.
+
+    The classifier sees a fresh array, and the array its ``log_probs``
+    returns is only read, never written, so a classifier may hand back
+    its own storage.
+    """
     x = problem.attacked_image(i, theta)
     lp = np.asarray(problem.classifier.log_probs(x), dtype=np.float64)
-    if not np.all(np.isfinite(lp)):
+    if not np.isfinite(lp).all():
         raise ArithmeticError("classifier returned non-finite log-probs")
     true = problem.labels[i]
-    others = np.delete(lp, true)
-    return max(float(lp[true] - np.max(others)), 0.0)
+    return max(float(lp[true] - lp[problem._rivals[true]].max()), 0.0)
 
 
 def attack_surrogate_problem(n, d_image, num_classes, rng):

@@ -363,7 +363,8 @@ def gradient_squared_decomposition(
 
     draws = np.stack([draw() for _ in range(samples)])
     mean_g = draws.mean(axis=0)
-    second_moment = float(np.mean(np.sum(draws ** 2, axis=1)))
+    # Two passes: E||g - E g||^2, not E||g||^2 - ||E g||^2, which cancels
+    # to rounding residue when the draws barely vary.
+    variance = float(np.mean(np.sum((draws - mean_g) ** 2, axis=1)))
     grad_norm_sq = float(mean_g @ mean_g)
-    variance = max(second_moment - grad_norm_sq, 0.0)
     return variance, grad_norm_sq

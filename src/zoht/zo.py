@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import norm_inf
-
 # Reject smoothing radii small enough for the forward difference to be
 # dominated by rounding noise.
 MU_FLOOR_SCALE = 1e-12
@@ -99,10 +97,10 @@ def _sample_supports(d, s2, q, rng):
 
 
 def _check_mu(cfg, theta):
-    if cfg.mu < MU_FLOOR_SCALE * (1.0 + norm_inf(theta)):
+    floor = MU_FLOOR_SCALE * (1.0 + float(np.abs(theta).max()))
+    if cfg.mu < floor:
         raise ValueError(
-            "smoothing radius mu=%g is below the numeric floor %g"
-            % (cfg.mu, MU_FLOOR_SCALE * (1.0 + norm_inf(theta)))
+            "smoothing radius mu=%g is below the numeric floor %g" % (cfg.mu, floor)
         )
 
 
@@ -136,7 +134,7 @@ def zo_gradient(f, theta, cfg, rng, directions=None):
             values[i] = f(point)
     if not np.isfinite(base):
         raise NonFiniteValueError(base, theta)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise NonFiniteValueError(values[bad[0]], theta + cfg.mu * directions[bad[0]])
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values))[0]
+        raise NonFiniteValueError(values[bad], theta + cfg.mu * directions[bad])
     return (cfg.d / (cfg.q * cfg.mu)) * ((values - base) @ directions)

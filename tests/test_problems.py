@@ -5,6 +5,8 @@ import pytest
 
 from zoht.core import spawn_stream
 from zoht.problems import (
+    PIXEL_HI,
+    PIXEL_LO,
     BlackBoxClassifier,
     CwAttackProblem,
     attack_surrogate_problem,
@@ -178,3 +180,72 @@ def test_attack_problem_validation():
         CwAttackProblem(np.full((2, 4), 0.7), np.array([0, 1]), classifier)
     with pytest.raises(ValueError):
         CwAttackProblem(np.zeros((2, 4)), np.array([0, 5]), classifier)
+
+
+# -- bit pins for the oracles' fast paths -------------------------------------
+# component() runs once per IZO and so avoids numpy's wrapper functions;
+# these tests pin it to the plain numpy formulas, byte for byte.
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def _cw_reference(problem, i, theta):
+    x = np.clip(problem.images[i] + theta, PIXEL_LO, PIXEL_HI)
+    lp = np.asarray(problem.classifier.log_probs(x), dtype=np.float64)
+    true = problem.labels[i]
+    return max(float(lp[true] - np.max(np.delete(lp, true))), 0.0)
+
+
+@pytest.mark.parametrize("num_classes", [2, 10])
+def test_cw_loss_bits_match_reference(num_classes):
+    rng = spawn_stream(13, "data-gen")
+    problem = attack_surrogate_problem(4, 48, num_classes, rng)
+    saturated = floored = 0
+    for scale in (0.0, 0.01, 0.1, 0.5, 1.0, 3.0, 10.0):
+        for _ in range(150):
+            theta = scale * rng.standard_normal(48)
+            i = int(rng.integers(problem.n))
+            got = cw_loss(problem, i, theta)
+            assert _bits(got) == _bits(_cw_reference(problem, i, theta))
+            raw = problem.images[i] + theta
+            saturated += np.any((raw < PIXEL_LO) | (raw > PIXEL_HI))
+            floored += got == 0.0
+    assert saturated > 100 and floored > 10 and floored < 1000
+
+
+def test_attacked_image_matches_clip_bits_and_is_fresh():
+    images = np.array([[0.0, -0.0, 0.5, -0.5, 0.25, 0.1, -0.1]])
+    classifier = surrogate_classifier(7, 3, spawn_stream(14, "data-gen"))
+    problem = CwAttackProblem(images, np.array([0]), classifier)
+    theta = np.array([-0.0, -0.0, 1.0, -np.inf, np.nan, -0.1, 0.1])
+    x = problem.attacked_image(0, theta)
+    assert x.tobytes() == np.clip(images[0] + theta, PIXEL_LO, PIXEL_HI).tobytes()
+    assert not np.shares_memory(x, images) and not np.shares_memory(x, theta)
+    np.testing.assert_array_equal(images, [[0.0, -0.0, 0.5, -0.5, 0.25, 0.1, -0.1]])
+
+
+def test_cw_loss_never_writes_log_probs_output():
+    cases = [([1.5, 1.0], 0), ([1.0, 1.5], 1), ([0.2, 1.0, 0.5], 0),
+             ([0.2, 1.0, 0.5], 1), ([3.0, -1.0, 2.0, 2.5], 2)]
+    for scores, label in cases:
+        problem = _tiny_attack(scores, label)
+        stored = problem.classifier.scores
+        before = stored.copy()
+        got = cw_loss(problem, 0, np.zeros(3))
+        assert _bits(got) == _bits(_cw_reference(problem, 0, np.zeros(3)))
+        assert stored.tobytes() == before.tobytes()
+        assert problem.classifier.scores is stored
+
+
+def test_ridge_component_bits_match_reference():
+    rng = spawn_stream(15, "data-gen")
+    for lam in (0.0, 0.3, 0.5, 1.7):
+        problem = ridge_synthetic(7, 6, lam, rng)
+        X, y = problem.X, problem.y
+        for _ in range(200):
+            theta = rng.standard_normal(6) * 10.0 ** rng.integers(-3, 4)
+            i = int(rng.integers(problem.n))
+            r = float(X[i] @ theta) - y[i]
+            want = r * r + 0.5 * lam * float(theta @ theta)
+            assert _bits(problem.component(i, theta)) == _bits(want)

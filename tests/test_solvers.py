@@ -471,3 +471,20 @@ def test_decomposition_memory_and_recursive_estimators():
         gradient_squared_decomposition(
             problem, theta, zo, 300, seed=28, estimator="bogus"
         )
+
+
+def test_decomposition_deterministic_variance_is_not_cancellation_residue():
+    # Exact component gradients make fgzoht, svrg and sarah deterministic,
+    # so every draw is the same vector and the variance is 0 up to the
+    # rounding of the draws' mean. The one-pass E||g||^2 - ||E g||^2
+    # cancels to residue near 1e-15 * ||E g||^2 on most of these instances.
+    zo = ZoEstimatorConfig(q=5, s2=30, mu=1e-4, d=30)
+    theta = np.zeros(30)
+    theta[:3] = [0.3, -0.2, 0.1]
+    for seed in range(5):
+        problem = ridge_synthetic(10, 30, 0.5, spawn_stream(seed, "data-gen"))
+        for estimator in ("fgzoht", "svrg", "sarah"):
+            var, mean_sq = gradient_squared_decomposition(
+                problem, theta, zo, 100, seed=seed, estimator=estimator, exact=True
+            )
+            assert 0.0 <= var <= 1e-20 * mean_sq, (seed, estimator, var, mean_sq)
