@@ -76,7 +76,9 @@ class FunctionOracle:
     more times per solver step for the divergence guard. On small inputs
     (tens of coordinates or classes) numpy's per-call overhead, not the
     arithmetic, sets that cost, so prefer array methods (``a.max()``,
-    ``a.sum()``) and in-place ufuncs over extra temporaries.
+    ``a.sum()``) and in-place ufuncs over extra temporaries. On 1-D
+    vectors prefer ``a.dot(b)`` to ``a @ b`` (the same BLAS call at half
+    the overhead), and Python floats to numpy scalars.
     """
 
     n = None          # component count, set by subclass

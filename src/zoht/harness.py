@@ -8,7 +8,6 @@ reproduces them byte for byte.
 """
 
 import os
-import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -237,19 +236,6 @@ def emit_csv(result, out_dir):
     return paths
 
 
-def parse_trace_csv(path):
-    """Inverse of the raw-trace writer: rows of (izo, nht, fval, nnz)."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "izo,nht,fval,nnz":
-            raise ValueError("unexpected header %r in %s" % (header, path))
-        for line in fh:
-            izo, nht, fval, nz = line.strip().split(",")
-            rows.append((int(izo), int(nht), float(fval), int(nz)))
-    return rows
-
-
 # -- SVG emission -------------------------------------------------------------
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -365,16 +351,3 @@ def emit_svg(result, axis, out_dir):
         fh.write("\n".join(parts))
     return path
 
-
-def validate_svg(text):
-    """Minimal schema gate used by the test suite: well-formed XML, an
-    svg 1.1 root, and no script elements."""
-    root = ET.fromstring(text)
-    if not root.tag.endswith("svg"):
-        raise ValueError("root element is not svg")
-    if root.get("version") != "1.1":
-        raise ValueError("svg version must be 1.1")
-    for el in root.iter():
-        if el.tag.endswith("script"):
-            raise ValueError("svg must be static (script element found)")
-    return True

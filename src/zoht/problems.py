@@ -16,28 +16,40 @@ class RidgeProblem(FunctionOracle):
 
     Exact per-component gradients 2 (x_i . theta - y_i) x_i + lam * theta
     are exposed for first-order baselines and test stubs.
+
+    The data are fixed at construction: X and y are read-only copies,
+    and ``_y`` and ``_half_lam`` cache y and lam / 2 as Python floats.
     """
 
     def __init__(self, X, y, lam, theta_star=None):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+        X = np.array(X, dtype=np.float64)
+        y = np.array(y, dtype=np.float64)
         if X.ndim != 2 or y.shape != (X.shape[0],):
             raise ValueError("X must be (n, d) and y must be (n,)")
         if lam < 0:
             raise ValueError("lambda must be >= 0")
+        X.flags.writeable = False
+        y.flags.writeable = False
         self.X = X
         self.y = y
+        self._y = tuple(y.tolist())
         self.lam = float(lam)
+        self._half_lam = 0.5 * self.lam
         self.n, self.d = X.shape
         self.minimizer = None if theta_star is None else np.asarray(theta_star, float)
 
+    # ``a.dot(b)`` is the same BLAS ddot as ``a @ b`` on 1-D float64
+    # arrays, with half the call overhead; Python floats give the same
+    # IEEE results as numpy scalars, faster.
+    def _residual(self, i, theta):
+        return float(self.X[i].dot(theta)) - self._y[i]
+
     def component(self, i, theta):
-        r = float(self.X[i] @ theta) - self.y[i]
-        return r * r + 0.5 * self.lam * float(theta @ theta)
+        r = self._residual(i, theta)
+        return r * r + self._half_lam * float(theta.dot(theta))
 
     def component_gradient(self, i, theta):
-        r = float(self.X[i] @ theta) - self.y[i]
-        return 2.0 * r * self.X[i] + self.lam * theta
+        return 2.0 * self._residual(i, theta) * self.X[i] + self.lam * theta
 
     def mean_value(self, theta):
         r = self.X @ theta - self.y

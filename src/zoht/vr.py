@@ -8,6 +8,7 @@ which is what makes exhaustive enumeration oracles feasible in tests.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class ZoComponentEstimator:
 
     def estimate(self, i, theta, directions=None):
         self.izo += self.cfg.izo_per_estimate
-        f = lambda th, i=i: self.oracle.component(i, th)
+        f = partial(self.oracle.component, i)
         return zo_gradient(f, theta, self.cfg, self.rng, directions)
 
     def estimate_pair(self, i, theta_a, theta_b):
@@ -45,8 +46,9 @@ class ZoComponentEstimator:
         return self.estimate(i, theta_a, dirs), self.estimate(i, theta_b, dirs)
 
     def full(self, theta):
-        """The full pass: one estimate per component at theta, fresh
-        directions each, as (n, d) rows; n(q+1) IZO."""
+        """The full pass: one estimate per component at theta, as (n, d)
+        rows; for the zeroth-order source, fresh directions each and
+        n(q+1) IZO."""
         return np.stack([self.estimate(i, theta) for i in range(self.oracle.n)])
 
 
@@ -66,8 +68,7 @@ class ExactComponentEstimator:
             self.oracle.component_gradient(i, theta_b),
         )
 
-    def full(self, theta):
-        return np.stack([self.estimate(i, theta) for i in range(self.oracle.n)])
+    full = ZoComponentEstimator.full
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import os
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -8,15 +9,40 @@ from zoht.harness import (
     ExperimentSpec,
     emit_csv,
     emit_svg,
-    parse_trace_csv,
     run_experiment,
     select_best_eta,
     step_resample,
-    validate_svg,
 )
 from zoht.problems import ridge_synthetic
 from zoht.solvers import RunTrace
 from zoht.zo import ZoEstimatorConfig
+
+
+def parse_trace_csv(path):
+    """Inverse of the raw-trace writer: rows of (izo, nht, fval, nnz)."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "izo,nht,fval,nnz":
+            raise ValueError("unexpected header %r in %s" % (header, path))
+        for line in fh:
+            izo, nht, fval, nz = line.strip().split(",")
+            rows.append((int(izo), int(nht), float(fval), int(nz)))
+    return rows
+
+
+def validate_svg(text):
+    """Minimal schema gate: well-formed XML, an svg 1.1 root, and no
+    script elements."""
+    root = ET.fromstring(text)
+    if not root.tag.endswith("svg"):
+        raise ValueError("root element is not svg")
+    if root.get("version") != "1.1":
+        raise ValueError("svg version must be 1.1")
+    for el in root.iter():
+        if el.tag.endswith("script"):
+            raise ValueError("svg must be static (script element found)")
+    return True
 
 
 def _tiny_spec(**kw):

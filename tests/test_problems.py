@@ -9,6 +9,7 @@ from zoht.problems import (
     PIXEL_LO,
     BlackBoxClassifier,
     CwAttackProblem,
+    RidgeProblem,
     attack_surrogate_problem,
     cw_loss,
     ridge_from_csv,
@@ -249,3 +250,42 @@ def test_ridge_component_bits_match_reference():
             r = float(X[i] @ theta) - y[i]
             want = r * r + 0.5 * lam * float(theta @ theta)
             assert _bits(problem.component(i, theta)) == _bits(want)
+
+
+def test_ridge_value_and_gradient_bits_match_reference_across_widths():
+    # d = 1, 2, 15-17, 31-33 cover BLAS ddot's scalar tail around its
+    # unrolled blocks; d = 1000 runs the SIMD kernel on long rows
+    rng = spawn_stream(16, "data-gen")
+    for d in (1, 2, 15, 16, 17, 31, 32, 33, 1000):
+        X = rng.standard_normal((4, d))
+        y = rng.standard_normal(4)
+        lam = 0.7
+        problem = RidgeProblem(X, y, lam)
+        for _ in range(25):
+            theta = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4)
+            i = int(rng.integers(4))
+            r = float(X[i] @ theta) - y[i]
+            want = r * r + 0.5 * lam * float(theta @ theta)
+            assert _bits(problem.component(i, theta)) == _bits(want)
+            grad = problem.component_gradient(i, theta)
+            assert grad.tobytes() == (2.0 * r * X[i] + lam * theta).tobytes()
+
+
+def test_ridge_data_is_read_only():
+    problem = ridge_synthetic(4, 3, 0.5, spawn_stream(17, "data-gen"))
+    with pytest.raises(ValueError):
+        problem.X[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        problem.y[0] = 1.0
+
+
+def test_ridge_ignores_later_writes_to_caller_arrays():
+    rng = spawn_stream(18, "data-gen")
+    X = rng.standard_normal((3, 4))
+    y = rng.standard_normal(3)
+    problem = RidgeProblem(X, y, 0.5)
+    theta = rng.standard_normal(4)
+    before = [_bits(problem.component(i, theta)) for i in range(3)]
+    X *= 2.0
+    y += 1.0
+    assert [_bits(problem.component(i, theta)) for i in range(3)] == before
