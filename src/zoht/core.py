@@ -63,9 +63,11 @@ class FunctionOracle:
     """Finite-sum objective F(theta) = (1/n) sum_i f_i(theta), accessed by
     value queries only.
 
-    Subclasses implement ``component``; they may also provide
-    ``component_gradient`` (used by first-order baselines and test stubs)
-    and set ``minimizer`` when a ground-truth parameter is known.
+    Subclasses implement ``component`` and set ``n`` and, when known, the
+    dimension ``d`` (``run_solver`` rejects a config of another d); they
+    may also provide ``component_gradient`` (used by first-order baselines
+    and test stubs) and set ``minimizer`` when a ground-truth parameter is
+    known.
 
     No method here charges IZO: ``vr.ZoComponentEstimator`` charges each
     estimate it makes, and direct calls are the uncounted handle used
@@ -82,6 +84,7 @@ class FunctionOracle:
     """
 
     n = None          # component count, set by subclass
+    d = None          # dimension, set by subclass when known
     minimizer = None  # optional known parameter for diagnostics
 
     def component(self, i, theta):

@@ -8,14 +8,15 @@ keep the k largest-magnitude coordinates. Five estimators are wired in:
   vr-szht     snapshot anchor refreshed every m inner steps (SVRG family)
   sarah-szht  recursive difference estimate (biased after the first step)
 
-Accounting rules (checked at the end of every run): a single estimate
-costs q+1 IZO (q probes plus one shared base value), a full estimate
-n(q+1), a coupled pair 2(q+1); every threshold application is one NHT.
-The budget check precedes every gradient estimate, and trace function
-values are measured through the uncounted oracle handle (no IZO charge).
+Every run starts at theta = 0, and every step thresholds (1 NHT). A
+single estimate costs q+1 IZO (q probes plus one shared base value), a
+full estimate n(q+1), a coupled pair 2(q+1). Every run ends by checking
+that identity (``expected_izo``) and that every recorded iterate is
+k-sparse. The budget check precedes every gradient estimate, and trace
+function values are measured through the uncounted oracle handle (no
+IZO charge).
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ from .zo import ZoEstimatorConfig, zo_gradient  # zo_gradient: hooked by bench/t
 
 ALGORITHMS = ("fgzoht", "szoht", "pm-szht", "vr-szht", "sarah-szht")
 
-# Abort when the objective exceeds DIVERGENCE_FACTOR * (1 + F(theta0)).
+# Abort when the objective exceeds DIVERGENCE_FACTOR * (1 + F(0)).
 DIVERGENCE_FACTOR = 1e12
 
 
@@ -55,10 +56,7 @@ class SolverConfig:
     p: int = None                  # memory update rate (pm)
     law: str = LAW_P_SAGA          # memory update-set law (pm)
     record_every: int = 1
-    anchor: str = "last"           # vr epoch hand-off: "last" | "random-inner"
-    sarah_first_step_raw: bool = False
     shared_directions: bool = False
-    theta0: np.ndarray = None      # default: zero vector (trivially k-sparse)
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -73,8 +71,6 @@ class SolverConfig:
             raise ValueError("pm-szht needs the memory update rate p")
         if self.law not in UPDATE_LAWS:
             raise ValueError("unknown update law %r" % self.law)
-        if self.anchor not in ("last", "random-inner"):
-            raise ValueError("anchor must be 'last' or 'random-inner'")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -91,7 +87,6 @@ class RunTrace:
     rows: list
     final_theta: np.ndarray
     config: SolverConfig
-    wall_time: float
     izo: int
     nht: int
     diverged: bool = False
@@ -125,13 +120,10 @@ class _Run:
             oracle, cfg.zo, spawn_stream(cfg.seed, "directions"), cfg.shared_directions
         )
         self.nht = 0
-        self.theta = (
-            np.zeros(cfg.zo.d) if cfg.theta0 is None else np.array(cfg.theta0, float)
-        )
-        if self.theta.shape != (cfg.zo.d,):
-            raise ValueError("theta0 shape mismatch")
+        if oracle.d is not None and oracle.d != cfg.zo.d:
+            raise ValueError("oracle has d=%d but cfg.zo.d=%d" % (oracle.d, cfg.zo.d))
+        self.theta = np.zeros(cfg.zo.d)
         self.rows = []
-        self.steps_done = 0
         self.iterations = self.epochs = self.inner_steps = self.memory_updates = 0
         self.diverged = False
         f0 = oracle.mean_value(self.theta)
@@ -139,7 +131,6 @@ class _Run:
             raise ValueError("objective is non-finite at the initial point")
         self.guard_level = DIVERGENCE_FACTOR * (1.0 + abs(f0))
         self._record(f0)
-        self.start = time.perf_counter()
 
     def _record(self, fval):
         self.rows.append((self.est.izo, self.nht, fval, nnz(self.theta)))
@@ -150,22 +141,17 @@ class _Run:
     def sample_index(self):
         return int(self.idx_rng.integers(self.oracle.n))
 
-    def descend(self, grad, threshold=True):
-        """Gradient step, then threshold (1 NHT) unless ``threshold`` is
-        False; records and guards."""
-        theta = self.theta - self.cfg.eta * grad
-        if threshold:
-            theta = hard_threshold(theta, self.cfg.k)
-            self.nht += 1
-        self.theta = theta
-        self.steps_done += 1
+    def descend(self, grad):
+        """Gradient step, then threshold (1 NHT); records and guards."""
+        self.theta = hard_threshold(self.theta - self.cfg.eta * grad, self.cfg.k)
+        self.nht += 1
         fval = self.oracle.mean_value(self.theta)
         if not np.isfinite(fval) or fval > self.guard_level:
             # abort; the offending value is not recorded (rows keep only
             # finite objective values)
             self.diverged = True
             return
-        if self.steps_done % self.cfg.record_every == 0:
+        if self.nht % self.cfg.record_every == 0:
             self._record(fval)
 
     def finish(self):
@@ -176,7 +162,6 @@ class _Run:
             rows=self.rows,
             final_theta=self.theta,
             config=self.cfg,
-            wall_time=time.perf_counter() - self.start,
             izo=self.est.izo,
             nht=self.nht,
             diverged=self.diverged,
@@ -215,34 +200,27 @@ class _Run:
     def _vr_szht(self):
         """Snapshot solver: refresh the anchor full gradient each epoch
         (n(q+1) IZO), then m inner steps of 2(q+1) IZO and 1 NHT each. The
-        next anchor is the last inner iterate by default; "random-inner"
-        hands off a uniformly random one instead."""
+        next anchor is the last inner iterate."""
         while self.budget_left():
             snap = take_snapshot(self.est, self.theta)
             self.epochs += 1
-            inner_iterates = []
             for _ in range(self.cfg.m):
                 if not self.budget_left():
                     break
                 i = self.sample_index()
                 self.descend(svrg_gradient(snap, self.theta, i, self.est))
                 self.inner_steps += 1
-                inner_iterates.append(self.theta)
-            if self.cfg.anchor == "random-inner" and inner_iterates:
-                pick = int(self.idx_rng.integers(len(inner_iterates)))
-                self.theta = inner_iterates[pick]
 
     def _sarah_szht(self):
         """Recursive-difference solver. Each epoch: full estimate (n(q+1)
         IZO), a first step reusing it, then m-1 recursion steps of 2(q+1)
-        IZO. Every step thresholds (sparsity invariant) unless
-        sarah_first_step_raw restores the unthresholded first step. The
-        epoch output is the iterate at a uniformly random inner index."""
+        IZO. The epoch output is the iterate at a uniformly random inner
+        index."""
         while self.budget_left():
             state = sarah_init(self.est, self.theta)
             self.epochs += 1
             epoch_iterates = [self.theta]
-            self.descend(state.g_prev, threshold=not self.cfg.sarah_first_step_raw)
+            self.descend(state.g_prev)
             self.inner_steps += 1
             epoch_iterates.append(self.theta)
             for _ in range(1, self.cfg.m):
@@ -269,9 +247,8 @@ _RUNNERS = {
 def run_solver(oracle, cfg):
     """Run cfg.algorithm on the oracle until the IZO budget is spent or
     the divergence guard trips; the only solver entry point. Raises
-    RuntimeError unless trace.izo equals ``expected_izo`` and, from a
-    k-sparse start (the default zero start is one) without the raw sarah
-    first step, every recorded iterate and the final one are k-sparse."""
+    RuntimeError unless trace.izo equals ``expected_izo`` and every
+    recorded iterate and the final one are k-sparse."""
     run = _Run(oracle, cfg)
     _RUNNERS[cfg.algorithm](run)
     trace = run.finish()
@@ -281,7 +258,7 @@ def run_solver(oracle, cfg):
             "%s: trace.izo %d != expected_izo %d" % (cfg.algorithm, trace.izo, want)
         )
     worst = max(max(row[3] for row in trace.rows), nnz(trace.final_theta))
-    if worst > cfg.k and trace.rows[0][3] <= cfg.k and not cfg.sarah_first_step_raw:
+    if worst > cfg.k:
         raise RuntimeError("%s: nnz %d exceeds k = %d" % (cfg.algorithm, worst, cfg.k))
     return trace
 

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -134,3 +136,19 @@ def test_ridge_synthetic_s2_defaults_to_d(tmp_path):
     ])
     assert code == 0
     assert "s2=12" in (out / "meta.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check-theory", "--d", "5", "--n", "10", "--q", "200", "--s2", "5", "--k", "3",
+      "--kstar", "1", "--rho-plus", "2.0", "--rho-minus", "0.5", "--mu", "1e-4"], 0),
+    (["make-coffee"], 1),
+    (["check-theory", "--d", "1", "--n", "10", "--q", "200", "--s2", "1", "--k", "1",
+      "--kstar", "1", "--rho-plus", "2.0", "--rho-minus", "0.5", "--mu", "1e-4"], 2),
+])
+def test_module_entry_point_exit_codes(argv, code):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "zoht.cli"] + argv,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr

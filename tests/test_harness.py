@@ -161,7 +161,7 @@ def test_empty_trace_writes_header_only(tmp_path):
     tr = result.traces[key]
     result.traces[key] = RunTrace(
         rows=[], final_theta=tr.final_theta, config=tr.config,
-        wall_time=0.0, izo=0, nht=0,
+        izo=0, nht=0,
     )
     result.curves["izo"]["szoht"] = (np.array([0]), np.array([1.0]), np.array([0.0]))
     result.curves["nht"]["szoht"] = (np.array([0]), np.array([1.0]), np.array([0.0]))

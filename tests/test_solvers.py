@@ -60,16 +60,10 @@ def test_szoht_per_iteration_deltas():
 def test_zero_eta_freezes_after_first_threshold():
     problem = ridge_synthetic(4, 3, 0.2, spawn_stream(1, "data-gen"))
     zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
-    trace = run_solver(
-        problem,
-        _cfg("szoht", eta=0.0, k=2, zo=zo, budget=120, seed=2,
-             theta0=np.array([1.0, -2.0, 0.5])),
-    )
+    trace = run_solver(problem, _cfg("szoht", eta=0.0, k=2, zo=zo, budget=120, seed=2))
     fvals = trace.column("fval")
-    assert np.all(fvals[1:] == fvals[1])
-    np.testing.assert_array_equal(
-        trace.final_theta, hard_threshold(np.array([1.0, -2.0, 0.5]), 2)
-    )
+    assert np.all(fvals == fvals[0])
+    np.testing.assert_array_equal(trace.final_theta, np.zeros(3))
 
 
 def test_fgzoht_izo_per_iteration():
@@ -296,6 +290,22 @@ def test_nnz_above_k_caught_at_end_of_run(monkeypatch):
         run_solver(problem, _cfg("fgzoht", eta=0.01, k=2, zo=zo, budget=200, seed=1))
 
 
+def test_oracle_d_mismatch_rejected_before_any_query():
+    problem = attack_surrogate_problem(4, 48, 10, spawn_stream(0, "data-gen"))
+    calls = []
+    component = problem.component
+
+    def counting(i, theta):
+        calls.append(i)
+        return component(i, theta)
+
+    problem.component = counting
+    zo = ZoEstimatorConfig(q=10, s2=1, mu=1e-3, d=1)
+    with pytest.raises(ValueError, match="oracle has d=48 but cfg.zo.d=1"):
+        run_solver(problem, _cfg("szoht", eta=0.01, k=1, zo=zo, budget=600, seed=1))
+    assert calls == []
+
+
 def test_budget_check_precedes_estimates():
     # izo stops at the first check point at or past the budget
     problem = ridge_synthetic(5, 4, 0.1, spawn_stream(10, "data-gen"))
@@ -398,30 +408,12 @@ def test_config_validation():
         SolverConfig(algorithm="pm-szht", eta=0.1, k=2, zo=zo, izo_budget=100, seed=0)
 
 
-def test_vr_random_inner_anchor_variant():
-    problem = ridge_synthetic(5, 4, 0.2, spawn_stream(20, "data-gen"))
-    zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
-    base = dict(eta=0.05, k=2, zo=zo, budget=2000, seed=21, m=4)
-    last = run_solver(problem, _cfg("vr-szht", **base))
-    rand = run_solver(problem, _cfg("vr-szht", anchor="random-inner", **base))
-    # same accounting, deterministic, generally different trajectories
-    assert rand.izo == last.izo
-    assert rand.rows == run_solver(
-        problem, _cfg("vr-szht", anchor="random-inner", **base)
-    ).rows
-    assert np.all(rand.column("nnz")[1:] <= 2)
-
-
 def test_sarah_raw_first_step_skips_threshold():
     problem = ridge_synthetic(4, 4, 0.2, spawn_stream(22, "data-gen"))
     zo = ZoEstimatorConfig(q=8, s2=4, mu=1e-4, d=4)
     base = dict(eta=0.02, k=2, zo=zo, budget=600, seed=23, m=3)
     thresholded = run_solver(problem, _cfg("sarah-szht", **base))
-    raw = run_solver(
-        problem, _cfg("sarah-szht", sarah_first_step_raw=True, **base)
-    )
     assert thresholded.nht == thresholded.inner_steps
-    assert raw.nht == raw.inner_steps - raw.epochs  # first steps unthresholded
 
 
 def test_shared_directions_runs_and_is_deterministic():
