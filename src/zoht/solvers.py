@@ -79,9 +79,9 @@ class SolverConfig:
 class RunTrace:
     """Per-run time series and exact accounting metadata.
 
-    rows: (izo, nht, fval, theta_nnz) tuples, strictly increasing in izo;
-    izo and nht are the run's totals, and with the iteration/epoch/update
-    tallies they close the IZO identity for each solver exactly.
+    rows: (izo, nht, fval, theta_nnz), strictly increasing in izo, the
+    last one at final_theta unless it tripped the divergence guard; izo,
+    nht and the step tallies close each solver's IZO identity exactly.
     """
 
     rows: list
@@ -102,8 +102,8 @@ class RunTrace:
 
 class _Run:
     """One solver run: streams, the component estimator (it tallies IZO),
-    the NHT count, step tallies, trace rows, divergence guard, and the
-    budget gate. The algorithm bodies are private methods in _RUNNERS."""
+    NHT and step tallies, theta and its held fval = F(theta), trace rows,
+    divergence guard and budget gate. Algorithm bodies are in _RUNNERS."""
 
     def __init__(self, oracle, cfg):
         full_pass = oracle.n * cfg.zo.izo_per_estimate
@@ -120,20 +120,21 @@ class _Run:
             oracle, cfg.zo, spawn_stream(cfg.seed, "directions"), cfg.shared_directions
         )
         self.nht = 0
-        if oracle.d is not None and oracle.d != cfg.zo.d:
-            raise ValueError("oracle has d=%d but cfg.zo.d=%d" % (oracle.d, cfg.zo.d))
         self.theta = np.zeros(cfg.zo.d)
         self.rows = []
         self.iterations = self.epochs = self.inner_steps = self.memory_updates = 0
         self.diverged = False
-        f0 = oracle.mean_value(self.theta)
-        if not np.isfinite(f0):
+        self.fval = oracle.mean_value(self.theta)
+        if not np.isfinite(self.fval):
             raise ValueError("objective is non-finite at the initial point")
-        self.guard_level = DIVERGENCE_FACTOR * (1.0 + abs(f0))
-        self._record(f0)
+        self.guard_level = DIVERGENCE_FACTOR * (1.0 + abs(self.fval))
+        self._record()
 
-    def _record(self, fval):
-        self.rows.append((self.est.izo, self.nht, fval, nnz(self.theta)))
+    def _record(self):
+        self.rows.append((self.est.izo, self.nht, self.fval, nnz(self.theta)))
+
+    def _fval_in_bounds(self):
+        return np.isfinite(self.fval) and self.fval <= self.guard_level
 
     def budget_left(self):
         return self.est.izo < self.cfg.izo_budget and not self.diverged
@@ -142,22 +143,24 @@ class _Run:
         return int(self.idx_rng.integers(self.oracle.n))
 
     def descend(self, grad):
-        """Gradient step, then threshold (1 NHT); records and guards."""
+        """Step, threshold (1 NHT), evaluate F once: record it or trip the guard."""
         self.theta = hard_threshold(self.theta - self.cfg.eta * grad, self.cfg.k)
         self.nht += 1
-        fval = self.oracle.mean_value(self.theta)
-        if not np.isfinite(fval) or fval > self.guard_level:
-            # abort; the offending value is not recorded (rows keep only
-            # finite objective values)
+        self.fval = self.oracle.mean_value(self.theta)
+        if not self._fval_in_bounds():
             self.diverged = True
             return
         if self.nht % self.cfg.record_every == 0:
-            self._record(fval)
+            self._record()
 
     def finish(self):
-        fval = self.oracle.mean_value(self.theta)
-        if np.isfinite(fval) and fval <= self.guard_level and self.rows[-1][0] < self.est.izo:
-            self._record(fval)
+        """Unless the held F(final_theta) trips the guard, make the last row
+        that iterate's (izo, nht, fval, nnz), replacing a row at this izo.
+        No oracle call: each iterate is evaluated once (__init__, descend)."""
+        if self._fval_in_bounds():
+            if self.rows[-1][0] == self.est.izo:
+                self.rows.pop()
+            self._record()
         return RunTrace(
             rows=self.rows,
             final_theta=self.theta,
@@ -191,11 +194,11 @@ class _Run:
         each iteration costs (|J|+1)(q+1) IZO and 1 NHT."""
         mem = init_gradient_memory(self.est, self.theta, self.cfg.p, self.cfg.law)
         while self.budget_left():
-            memory_update(mem, self.theta, self.est, self.mem_rng)
+            chosen = memory_update(mem, self.theta, self.est, self.mem_rng)
+            self.memory_updates += len(chosen)
             i = self.sample_index()
             self.descend(pm_gradient(mem, self.theta, i, self.est))
             self.iterations += 1
-        self.memory_updates = mem.total_updates
 
     def _vr_szht(self):
         """Snapshot solver: refresh the anchor full gradient each epoch
@@ -219,10 +222,10 @@ class _Run:
         while self.budget_left():
             state = sarah_init(self.est, self.theta)
             self.epochs += 1
-            epoch_iterates = [self.theta]
+            epoch_iterates = [(self.theta, self.fval)]
             self.descend(state.g_prev)
             self.inner_steps += 1
-            epoch_iterates.append(self.theta)
+            epoch_iterates.append((self.theta, self.fval))
             for _ in range(1, self.cfg.m):
                 if not self.budget_left():
                     break
@@ -230,9 +233,9 @@ class _Run:
                 grad, state = sarah_step(state, self.theta, i, self.est)
                 self.descend(grad)
                 self.inner_steps += 1
-                epoch_iterates.append(self.theta)
+                epoch_iterates.append((self.theta, self.fval))
             pick = int(self.idx_rng.integers(len(epoch_iterates)))
-            self.theta = epoch_iterates[pick]
+            self.theta, self.fval = epoch_iterates[pick]
 
 
 _RUNNERS = {

@@ -25,6 +25,8 @@ class ZoComponentEstimator:
     cost: q + 1 per single estimate, 2(q + 1) per coupled pair."""
 
     def __init__(self, oracle, cfg, rng, shared_directions=False):
+        if getattr(oracle, "d", None) not in (None, cfg.d):
+            raise ValueError("oracle has d=%d but cfg.zo.d=%d" % (oracle.d, cfg.d))
         self.oracle = oracle
         self.cfg = cfg
         self.rng = rng
@@ -63,10 +65,7 @@ class ExactComponentEstimator:
         return self.oracle.component_gradient(i, theta)
 
     def estimate_pair(self, i, theta_a, theta_b):
-        return (
-            self.oracle.component_gradient(i, theta_a),
-            self.oracle.component_gradient(i, theta_b),
-        )
+        return self.estimate(i, theta_a), self.estimate(i, theta_b)
 
     full = ZoComponentEstimator.full
 
@@ -87,7 +86,6 @@ class GradientMemory:
     p: int
     law: str
     updates_since_sync: int = 0
-    total_updates: int = 0
 
     @property
     def n(self):
@@ -129,7 +127,6 @@ def memory_update(mem, theta, estimator, rng):
         mem.mean = mem.mean + (fresh - mem.table[j]) / mem.n
         mem.table[j] = fresh
         mem.updates_since_sync += 1
-        mem.total_updates += 1
     if mem.updates_since_sync >= mem.n:
         mem.resync_mean()
     return chosen

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from zoht.core import FunctionOracle, spawn_stream
+from zoht.core import FunctionOracle, nnz, spawn_stream
 from zoht.ht import hard_threshold
 from zoht.problems import RidgeProblem, attack_surrogate_problem, ridge_synthetic
 from zoht.solvers import (
+    DIVERGENCE_FACTOR,
     SolverConfig,
     expected_izo,
     gradient_squared_decomposition,
@@ -234,19 +235,25 @@ def test_power_of_two_scaling_is_exact():
 
 
 class CountingRidge(RidgeProblem):
-    """Ridge that counts ``component`` calls. Its vectorised mean_value
-    never calls component, so every counted call is a probe."""
+    """Ridge that counts ``component`` and ``mean_value`` calls. Its
+    vectorised mean_value never calls component, so every counted
+    component call is a probe."""
 
-    calls = 0
+    calls = values = 0
 
     def component(self, i, theta):
         self.calls += 1
         return super().component(i, theta)
 
+    def mean_value(self, theta):
+        self.values += 1
+        return super().mean_value(theta)
+
 
 def test_component_and_threshold_calls_match_trace(monkeypatch):
     # the tier-1 twin of the traced benchmark's self-check: one component
-    # call per IZO and one hard_threshold call per NHT
+    # call per IZO and one hard_threshold call per NHT; and one mean_value
+    # call per iterate (theta = 0 and one per NHT)
     base = ridge_synthetic(6, 5, 0.3, spawn_stream(9, "data-gen"))
     zo = ZoEstimatorConfig(q=7, s2=5, mu=1e-4, d=5)
     thresholds = []
@@ -266,6 +273,7 @@ def test_component_and_threshold_calls_match_trace(monkeypatch):
         assert not trace.diverged
         assert problem.calls == trace.izo > 0
         assert len(thresholds) == trace.nht == trace.column("nht")[-1] > 0
+        assert problem.values == trace.nht + 1
 
 
 def test_izo_overcharge_caught_at_end_of_run(monkeypatch):
@@ -304,6 +312,69 @@ def test_oracle_d_mismatch_rejected_before_any_query():
     with pytest.raises(ValueError, match="oracle has d=48 but cfg.zo.d=1"):
         run_solver(problem, _cfg("szoht", eta=0.01, k=1, zo=zo, budget=600, seed=1))
     assert calls == []
+
+
+def test_decomposition_oracle_d_mismatch_rejected_before_any_query():
+    problem = attack_surrogate_problem(4, 48, 10, spawn_stream(0, "data-gen"))
+    calls = []
+    component = problem.component
+
+    def counting(i, theta):
+        calls.append(i)
+        return component(i, theta)
+
+    problem.component = counting
+    zo = ZoEstimatorConfig(q=10, s2=1, mu=1e-3, d=1)
+    with pytest.raises(ValueError, match="oracle has d=48 but cfg.zo.d=1"):
+        gradient_squared_decomposition(problem, np.zeros(1), zo, 100, seed=1)
+    assert calls == []
+
+
+def test_last_row_describes_final_theta():
+    # each iterate is evaluated once, and the trace ends at the iterate the
+    # run returns; for sarah-szht that is a random inner iterate of the
+    # last epoch, not the last one stepped to
+    cases = (
+        (ridge_synthetic(6, 5, 0.5, spawn_stream(0, "data-gen")),
+         ZoEstimatorConfig(q=10, s2=5, mu=1e-4, d=5), 3, 0.05, 1500),
+        (attack_surrogate_problem(3, 12, 4, spawn_stream(0, "data-gen")),
+         ZoEstimatorConfig(q=8, s2=12, mu=1e-3, d=12), 4, 0.01, 600),
+    )
+    algos = ("szoht", "fgzoht", "pm-szht", "vr-szht", "sarah-szht")
+    for (problem, zo, k, eta, budget), algo, shared in itertools.product(
+        cases, algos, (False, True)
+    ):
+        cfg = _cfg(algo, eta=eta, k=k, zo=zo, budget=budget, seed=31, m=3, p=2,
+                   shared_directions=shared)
+        trace = run_solver(problem, cfg)
+        assert not trace.diverged
+        theta = trace.final_theta
+        assert trace.rows[-1] == (
+            trace.izo, trace.nht, problem.mean_value(theta), nnz(theta)
+        ), (algo, shared)
+
+
+def test_diverged_sarah_trace_ends_at_an_in_bounds_pick():
+    # the guard test at the end applies to the returned iterate's value,
+    # not to the diverged flag: the epoch that diverged may pick an earlier
+    # iterate that passes the guard, and the trace then ends there
+    problem = ridge_synthetic(6, 5, 0.5, spawn_stream(0, "data-gen"))
+    zo = ZoEstimatorConfig(q=10, s2=5, mu=1e-4, d=5)
+    ends = set()
+    for seed in range(1, 8):
+        trace = run_solver(problem, _cfg("sarah-szht", eta=0.5, k=3, zo=zo,
+                                         budget=20_000, seed=seed, m=10))
+        assert trace.diverged
+        fval = problem.mean_value(trace.final_theta)
+        if fval <= DIVERGENCE_FACTOR * (1.0 + abs(trace.rows[0][2])):
+            assert trace.rows[-1] == (
+                trace.izo, trace.nht, fval, nnz(trace.final_theta)
+            )
+            ends.add("pick")
+        else:
+            assert trace.rows[-1][0] < trace.izo
+            ends.add("tripped")
+    assert ends == {"pick", "tripped"}
 
 
 def test_budget_check_precedes_estimates():
@@ -408,7 +479,7 @@ def test_config_validation():
         SolverConfig(algorithm="pm-szht", eta=0.1, k=2, zo=zo, izo_budget=100, seed=0)
 
 
-def test_sarah_raw_first_step_skips_threshold():
+def test_sarah_thresholds_every_inner_step():
     problem = ridge_synthetic(4, 4, 0.2, spawn_stream(22, "data-gen"))
     zo = ZoEstimatorConfig(q=8, s2=4, mu=1e-4, d=4)
     base = dict(eta=0.02, k=2, zo=zo, budget=600, seed=23, m=3)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zoht import theory
 from zoht.core import spawn_stream
 from zoht.problems import ridge_synthetic
 from zoht.theory import (
@@ -112,6 +113,33 @@ def test_pm_interval_nonempty_and_roots_satisfy_quadratic():
     assert iv.hi >= iv.roots[1]  # upper endpoint may be the relaxed cap
 
 
+def test_pm_interval_upper_endpoint_edges():
+    # alpha = 193 (k = kstar + 1, sqrt(kstar) = 96), p = n and rho = 2
+    # make the pm quadratic (18528 eps_I + 2) eta^2 - 386 eta + 1, with a
+    # double root at eps_I = 37247/18528 and the relaxed cap 1/(96 eps_I)
+    tp = _tp(d=30_000, k=9217, kstar=9216, rho_minus=2.0, rho_plus=2.0, p=10, n=10)
+    double_root = 37247 / 18528
+
+    def cap(eps_I):
+        return 1.0 / (48.0 * eps_I * tp.rho_plus)
+
+    # root side: the upper root clears the cap
+    iv = pm_eta_interval(tp, eps_I=2.0)
+    assert iv.roots[1] > cap(2.0)
+    assert (iv.lo, iv.hi) == iv.roots
+    # cap side: just below the double root both roots sit under the cap,
+    # which becomes the upper endpoint
+    eps_I = double_root - 1e-9
+    iv = pm_eta_interval(tp, eps_I=eps_I)
+    assert iv.discriminant > 0 and iv.roots[1] < cap(eps_I)
+    assert iv.lo == iv.roots[0] and iv.hi == cap(eps_I)
+    # a double root is not an interval
+    iv = pm_eta_interval(tp, eps_I=double_root)
+    assert iv.discriminant == 0.0 and iv.roots[0] == iv.roots[1]
+    assert not iv.nonempty
+    assert math.isnan(iv.lo) and math.isnan(iv.hi)
+
+
 def test_pm_interval_requires_p():
     with pytest.raises(ValueError):
         pm_eta_interval(_tp())
@@ -133,6 +161,29 @@ def test_vr_interval_kstar_zero():
     assert rec == pytest.approx(-b / (2.0 * a), rel=1e-12)  # vertex
     for root in iv.roots:
         assert abs(a * root * root + b * root + c) <= 1e-9
+
+
+def test_vr_interval_upper_endpoint_edges(monkeypatch):
+    cap = 1.0 / (48.0 * 2.0 * 1.0)
+    # root side: at kstar = 0 the roots are 0 and 1/(48 eps_I rho_plus +
+    # rho_minus), below the cap
+    iv, _ = vrszht_eta_interval(_tp(d=20, k=3, kstar=0), eps_I=2.0)
+    assert iv.roots[1] < cap
+    assert (iv.lo, iv.hi) == iv.roots
+    # cap side: no valid TheoryParams reaches it, since the upper root is
+    # below alpha rho_minus / leading < 1/(48 eps_I rho_plus); check the
+    # upper rule vrszht_eta_interval hands to _root_interval instead
+    seen = {}
+    root_interval = theory._root_interval
+
+    def spy(a, b, c, **kw):
+        seen.update(kw)
+        return root_interval(a, b, c, **kw)
+
+    monkeypatch.setattr(theory, "_root_interval", spy)
+    vrszht_eta_interval(_tp(d=20, k=3, kstar=1), eps_I=2.0)
+    assert seen["upper"](2.0 * cap) == cap
+    assert seen["upper"](0.5 * cap) == 0.5 * cap
 
 
 def test_sarah_interval_roots_and_kstar_zero():
