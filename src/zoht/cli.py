@@ -74,7 +74,6 @@ def _add_run_options(sub, k, q, mu, m, budget, eta_grid):
     sub.add_argument("--algos", type=_comma_algos, default=_comma_algos(DEFAULT_ALGOS))
     sub.add_argument("--p", type=int, default=1, help="memory update rate")
     sub.add_argument("--law", choices=UPDATE_LAWS, default=LAW_P_SAGA)
-    sub.add_argument("--record-every", type=int, default=1)
     sub.add_argument("--select", choices=["final", "min"], default="final")
     sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--svg", action="store_true", help="also emit SVG charts")
@@ -144,7 +143,6 @@ def _cmd_run(args):
         m=m,
         p=args.p,
         law=args.law,
-        record_every=args.record_every,
         select=args.select,
         problem_name=problem_name,
     )

@@ -47,13 +47,16 @@ class ExperimentSpec:
     m: int = None
     p: int = 1
     law: str = LAW_P_SAGA
-    record_every: int = 1
     select: str = "final"           # best-eta rule: "final" | "min"
     problem_name: str = "problem"
 
     def __post_init__(self):
         if not self.algorithms or not self.eta_grid or not self.seeds:
             raise ValueError("need at least one algorithm, one eta, one seed")
+        for name in ("algorithms", "eta_grid", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError("%s repeats an entry: %s" % (name, values))
         bad = [a for a in self.algorithms if a not in ALGO_TOKENS]
         if bad:
             raise ValueError("unknown algorithm token(s) %s" % bad)
@@ -87,7 +90,6 @@ def _solver_config(spec, token, eta, seed):
         m=spec.m,
         p=spec.p,
         law=spec.law,
-        record_every=spec.record_every,
     )
 
 

@@ -55,7 +55,6 @@ class SolverConfig:
     m: int = None                  # inner-loop length (vr / sarah)
     p: int = None                  # memory update rate (pm)
     law: str = LAW_P_SAGA          # memory update-set law (pm)
-    record_every: int = 1
     shared_directions: bool = False
 
     def __post_init__(self):
@@ -71,17 +70,18 @@ class SolverConfig:
             raise ValueError("pm-szht needs the memory update rate p")
         if self.law not in UPDATE_LAWS:
             raise ValueError("unknown update law %r" % self.law)
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
 
 
 @dataclass
 class RunTrace:
     """Per-run time series and exact accounting metadata.
 
-    rows: (izo, nht, fval, theta_nnz), strictly increasing in izo, the
-    last one at final_theta unless it tripped the divergence guard; izo,
-    nht and the step tallies close each solver's IZO identity exactly.
+    rows: (izo, nht, fval, theta_nnz) at theta = 0 and after each step that
+    passes the divergence guard, strictly increasing in izo and ending at
+    final_theta unless it tripped the guard. A sarah-szht epoch ends on its
+    picked iterate's row; a vr-szht trace may end on a repeated nht at a
+    trailing snapshot's izo. izo, nht and the step tallies close each
+    solver's IZO identity exactly.
     """
 
     rows: list
@@ -102,8 +102,9 @@ class RunTrace:
 
 class _Run:
     """One solver run: streams, the component estimator (it tallies IZO),
-    NHT and step tallies, theta and its held fval = F(theta), trace rows,
-    divergence guard and budget gate. Algorithm bodies are in _RUNNERS."""
+    NHT and step tallies, theta and its held fval = F(theta), trace rows
+    (one per step that passes the divergence guard, all written by _record)
+    and budget gate. Algorithm bodies are in _RUNNERS."""
 
     def __init__(self, oracle, cfg):
         full_pass = oracle.n * cfg.zo.izo_per_estimate
@@ -131,10 +132,14 @@ class _Run:
         self._record()
 
     def _record(self):
+        """Unless fval trips the divergence guard, write the held iterate's
+        (izo, nht, fval, nnz) over any row at this izo; return whether it did."""
+        if not (np.isfinite(self.fval) and self.fval <= self.guard_level):
+            return False
+        if self.rows and self.rows[-1][0] == self.est.izo:
+            self.rows.pop()
         self.rows.append((self.est.izo, self.nht, self.fval, nnz(self.theta)))
-
-    def _fval_in_bounds(self):
-        return np.isfinite(self.fval) and self.fval <= self.guard_level
+        return True
 
     def budget_left(self):
         return self.est.izo < self.cfg.izo_budget and not self.diverged
@@ -147,20 +152,12 @@ class _Run:
         self.theta = hard_threshold(self.theta - self.cfg.eta * grad, self.cfg.k)
         self.nht += 1
         self.fval = self.oracle.mean_value(self.theta)
-        if not self._fval_in_bounds():
-            self.diverged = True
-            return
-        if self.nht % self.cfg.record_every == 0:
-            self._record()
+        self.diverged = not self._record()
 
     def finish(self):
-        """Unless the held F(final_theta) trips the guard, make the last row
-        that iterate's (izo, nht, fval, nnz), replacing a row at this izo.
-        No oracle call: each iterate is evaluated once (__init__, descend)."""
-        if self._fval_in_bounds():
-            if self.rows[-1][0] == self.est.izo:
-                self.rows.pop()
-            self._record()
+        """Record final_theta once more, since a vr-szht snapshot may spend IZO
+        after the last step. No oracle call: each iterate is evaluated once."""
+        self._record()
         return RunTrace(
             rows=self.rows,
             final_theta=self.theta,
@@ -218,7 +215,7 @@ class _Run:
         """Recursive-difference solver. Each epoch: full estimate (n(q+1)
         IZO), a first step reusing it, then m-1 recursion steps of 2(q+1)
         IZO. The epoch output is the iterate at a uniformly random inner
-        index."""
+        index, and the row at the epoch's end izo shows it."""
         while self.budget_left():
             state = sarah_init(self.est, self.theta)
             self.epochs += 1
@@ -236,6 +233,7 @@ class _Run:
                 epoch_iterates.append((self.theta, self.fval))
             pick = int(self.idx_rng.integers(len(epoch_iterates)))
             self.theta, self.fval = epoch_iterates[pick]
+            self._record()
 
 
 _RUNNERS = {

@@ -173,7 +173,7 @@ def test_criterion_05_variance_reduction_witness():
     mid = run_solver(
         problem,
         SolverConfig(algorithm="vr-szht", eta=0.05, k=3, zo=zo,
-                     izo_budget=20_000, seed=1, m=10, record_every=50),
+                     izo_budget=20_000, seed=1, m=10),
     )
     theta = mid.final_theta
     est = ZoComponentEstimator(problem, zo, spawn_stream(107, "directions"))
@@ -214,7 +214,6 @@ def test_criterion_06_benchmark_ordering():
         m=10,
         p=1,
         law=LAW_P_SAGA,
-        record_every=10,
         problem_name="ridge-synthetic",
     )
     result = run_experiment(spec)
@@ -244,7 +243,7 @@ def test_criterion_07_sparse_recovery():
         trace = run_solver(
             problem,
             SolverConfig(algorithm="vr-szht", eta=0.5, k=3, zo=zo,
-                         izo_budget=80_000, seed=seed, m=10, record_every=50),
+                         izo_budget=80_000, seed=seed, m=10),
         )
         rel = float(
             np.linalg.norm(trace.final_theta - problem.minimizer)

@@ -69,6 +69,13 @@ def test_spec_validation():
         _tiny_spec(algorithms=["bogus"])
     with pytest.raises(ValueError):
         _tiny_spec(select="middle")
+    # an exact repeat would run its cells twice and weight them double in
+    # eta scores and curves; aliases name different output files
+    for repeat in (dict(seeds=[1, 1, 2]), dict(eta_grid=[0.01, 0.01]),
+                   dict(algorithms=["szoht", "saga", "szoht"])):
+        with pytest.raises(ValueError, match="repeats an entry"):
+            _tiny_spec(**repeat)
+    _tiny_spec(algorithms=["saga", "pm-szht"])
 
 
 def test_bad_p_or_law_fails_before_first_cell(monkeypatch):
