@@ -217,7 +217,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

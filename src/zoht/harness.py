@@ -156,8 +156,12 @@ def run_experiment(spec, workers=1):
     ]
     configs = [_solver_config(spec, *cell) for cell in cells]
     if workers > 1:
+        # Fork starts all max_workers processes at the first submit, so ask
+        # for no more than there are cells.
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(spec.problem,)
+            max_workers=min(workers, len(configs)),
+            initializer=_init_worker,
+            initargs=(spec.problem,),
         ) as pool:
             outs = list(pool.map(_run_cell, configs))
     else:
@@ -232,8 +236,9 @@ def emit_csv(result, out_dir):
         fh.write("note=%s\n" % EPS_IC_TYPO_NOTE)
         for token in spec.algorithms:
             fh.write("best_eta_%s=%s\n" % (token, _fmt(result.best_eta[token])))
-        fh.write("diverged_cells=%s\n"
-                 % ";".join("%s,eta%s,seed%d" % key for key in result.diverged_cells()))
+        fh.write("diverged_cells=%s\n" % ";".join(
+            "%s,eta%s,seed%d" % (token, _fmt(eta), seed)
+            for token, eta, seed in result.diverged_cells()))
     paths.append(meta_path)
     return paths
 

@@ -24,8 +24,8 @@ class RidgeProblem(FunctionOracle):
     def __init__(self, X, y, lam, theta_star=None):
         X = np.array(X, dtype=np.float64)
         y = np.array(y, dtype=np.float64)
-        if X.ndim != 2 or y.shape != (X.shape[0],):
-            raise ValueError("X must be (n, d) and y must be (n,)")
+        if X.ndim != 2 or X.shape[0] < 1 or y.shape != (X.shape[0],):
+            raise ValueError("X must be (n, d) with n >= 1 and y must be (n,)")
         if lam < 0:
             raise ValueError("lambda must be >= 0")
         X.flags.writeable = False
@@ -93,7 +93,9 @@ def ridge_synthetic(n, d, lam, rng, sparse_kstar=None, standardize=True):
     standard normal, targets y_i = x_i . theta_star, then columns
     standardized. Pass ``sparse_kstar`` to zero all but that many random
     coordinates of the generating model, and ``standardize=False`` to
-    keep y = X theta_star exact (sparse-recovery diagnostics).
+    keep y = X theta_star exact (sparse-recovery diagnostics). Only then is
+    the generating model the instance's ``minimizer``: standardized
+    instances carry none, since it fits the raw columns, not theirs.
     """
     if n < 1 or d < 1:
         raise ValueError("need n, d >= 1")
@@ -112,7 +114,7 @@ def ridge_synthetic(n, d, lam, rng, sparse_kstar=None, standardize=True):
     y = X @ theta_star
     if standardize:
         X = standardize_columns(X)
-    return RidgeProblem(X, y, lam, theta_star=theta_star)
+    return RidgeProblem(X, y, lam, None if standardize else theta_star)
 
 
 def ridge_from_csv(path, target_column, lam):
@@ -210,8 +212,10 @@ class CwAttackProblem(FunctionOracle):
 
     def __init__(self, images, labels, classifier):
         images = np.asarray(images, dtype=np.float64)
-        if images.ndim != 2:
-            raise ValueError("images must be (n, d)")
+        if images.ndim != 2 or images.shape[0] < 1:
+            raise ValueError("images must be (n, d) with n >= 1")
+        if classifier.num_classes < 2:
+            raise ValueError("need num_classes >= 2, got %d" % classifier.num_classes)
         if np.any(images < PIXEL_LO) or np.any(images > PIXEL_HI):
             raise ValueError("images must lie in [%g, %g]" % (PIXEL_LO, PIXEL_HI))
         labels = np.asarray(labels, dtype=np.intp)
@@ -258,6 +262,8 @@ def cw_loss(problem, i, theta):
 def attack_surrogate_problem(n, d_image, num_classes, rng):
     """Random images labeled by the surrogate's own prediction, so every
     hinge starts at the classifier's decision margin (> 0 generically)."""
+    if num_classes < 2:
+        raise ValueError("need num_classes >= 2, got %d" % num_classes)
     classifier = surrogate_classifier(d_image, num_classes, rng)
     images = rng.uniform(PIXEL_LO, PIXEL_HI, size=(n, d_image))
     labels = np.array(

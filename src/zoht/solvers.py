@@ -74,7 +74,8 @@ class SolverConfig:
 
 @dataclass
 class RunTrace:
-    """Per-run time series and exact accounting metadata.
+    """Per-run time series and exact accounting metadata: the run's only
+    ledger, written in place while the solver runs.
 
     rows: (izo, nht, fval, theta_nnz) at theta = 0 and after each step that
     passes the divergence guard, strictly increasing in izo and ending at
@@ -102,9 +103,9 @@ class RunTrace:
 
 class _Run:
     """One solver run: streams, the component estimator (it tallies IZO),
-    NHT and step tallies, theta and its held fval = F(theta), trace rows
-    (one per step that passes the divergence guard, all written by _record)
-    and budget gate. Algorithm bodies are in _RUNNERS."""
+    theta and its held fval = F(theta), budget gate, and the RunTrace that
+    receives rows (all written by _record), NHT and step tallies as they
+    happen. Algorithm bodies are in _RUNNERS."""
 
     def __init__(self, oracle, cfg):
         full_pass = oracle.n * cfg.zo.izo_per_estimate
@@ -120,11 +121,8 @@ class _Run:
         self.est = ZoComponentEstimator(
             oracle, cfg.zo, spawn_stream(cfg.seed, "directions"), cfg.shared_directions
         )
-        self.nht = 0
         self.theta = np.zeros(cfg.zo.d)
-        self.rows = []
-        self.iterations = self.epochs = self.inner_steps = self.memory_updates = 0
-        self.diverged = False
+        self.trace = RunTrace(rows=[], final_theta=None, config=cfg, izo=0, nht=0)
         self.fval = oracle.mean_value(self.theta)
         if not np.isfinite(self.fval):
             raise ValueError("objective is non-finite at the initial point")
@@ -136,13 +134,14 @@ class _Run:
         (izo, nht, fval, nnz) over any row at this izo; return whether it did."""
         if not (np.isfinite(self.fval) and self.fval <= self.guard_level):
             return False
-        if self.rows and self.rows[-1][0] == self.est.izo:
-            self.rows.pop()
-        self.rows.append((self.est.izo, self.nht, self.fval, nnz(self.theta)))
+        rows = self.trace.rows
+        if rows and rows[-1][0] == self.est.izo:
+            rows.pop()
+        rows.append((self.est.izo, self.trace.nht, self.fval, nnz(self.theta)))
         return True
 
     def budget_left(self):
-        return self.est.izo < self.cfg.izo_budget and not self.diverged
+        return self.est.izo < self.cfg.izo_budget and not self.trace.diverged
 
     def sample_index(self):
         return int(self.idx_rng.integers(self.oracle.n))
@@ -150,26 +149,9 @@ class _Run:
     def descend(self, grad):
         """Step, threshold (1 NHT), evaluate F once: record it or trip the guard."""
         self.theta = hard_threshold(self.theta - self.cfg.eta * grad, self.cfg.k)
-        self.nht += 1
+        self.trace.nht += 1
         self.fval = self.oracle.mean_value(self.theta)
-        self.diverged = not self._record()
-
-    def finish(self):
-        """Record final_theta once more, since a vr-szht snapshot may spend IZO
-        after the last step. No oracle call: each iterate is evaluated once."""
-        self._record()
-        return RunTrace(
-            rows=self.rows,
-            final_theta=self.theta,
-            config=self.cfg,
-            izo=self.est.izo,
-            nht=self.nht,
-            diverged=self.diverged,
-            iterations=self.iterations,
-            epochs=self.epochs,
-            inner_steps=self.inner_steps,
-            memory_updates=self.memory_updates,
-        )
+        self.trace.diverged = not self._record()
 
     def _szoht(self):
         """One uniformly random component estimate per iteration (q+1 IZO,
@@ -177,13 +159,13 @@ class _Run:
         while self.budget_left():
             i = self.sample_index()
             self.descend(self.est.estimate(i, self.theta))
-            self.iterations += 1
+            self.trace.iterations += 1
 
     def _fgzoht(self):
         """Full zeroth-order gradient per iteration (n(q+1) IZO, 1 NHT)."""
         while self.budget_left():
             self.descend(self.est.full(self.theta).mean(axis=0))
-            self.iterations += 1
+            self.trace.iterations += 1
 
     def _pm_szht(self):
         """Memory-table solver: refresh a random row set, then take one
@@ -192,10 +174,10 @@ class _Run:
         mem = init_gradient_memory(self.est, self.theta, self.cfg.p, self.cfg.law)
         while self.budget_left():
             chosen = memory_update(mem, self.theta, self.est, self.mem_rng)
-            self.memory_updates += len(chosen)
+            self.trace.memory_updates += len(chosen)
             i = self.sample_index()
             self.descend(pm_gradient(mem, self.theta, i, self.est))
-            self.iterations += 1
+            self.trace.iterations += 1
 
     def _vr_szht(self):
         """Snapshot solver: refresh the anchor full gradient each epoch
@@ -203,13 +185,13 @@ class _Run:
         next anchor is the last inner iterate."""
         while self.budget_left():
             snap = take_snapshot(self.est, self.theta)
-            self.epochs += 1
+            self.trace.epochs += 1
             for _ in range(self.cfg.m):
                 if not self.budget_left():
                     break
                 i = self.sample_index()
                 self.descend(svrg_gradient(snap, self.theta, i, self.est))
-                self.inner_steps += 1
+                self.trace.inner_steps += 1
 
     def _sarah_szht(self):
         """Recursive-difference solver. Each epoch: full estimate (n(q+1)
@@ -218,10 +200,10 @@ class _Run:
         index, and the row at the epoch's end izo shows it."""
         while self.budget_left():
             state = sarah_init(self.est, self.theta)
-            self.epochs += 1
+            self.trace.epochs += 1
             epoch_iterates = [(self.theta, self.fval)]
             self.descend(state.g_prev)
-            self.inner_steps += 1
+            self.trace.inner_steps += 1
             epoch_iterates.append((self.theta, self.fval))
             for _ in range(1, self.cfg.m):
                 if not self.budget_left():
@@ -229,7 +211,7 @@ class _Run:
                 i = self.sample_index()
                 grad, state = sarah_step(state, self.theta, i, self.est)
                 self.descend(grad)
-                self.inner_steps += 1
+                self.trace.inner_steps += 1
                 epoch_iterates.append((self.theta, self.fval))
             pick = int(self.idx_rng.integers(len(epoch_iterates)))
             self.theta, self.fval = epoch_iterates[pick]
@@ -252,7 +234,11 @@ def run_solver(oracle, cfg):
     recorded iterate and the final one are k-sparse."""
     run = _Run(oracle, cfg)
     _RUNNERS[cfg.algorithm](run)
-    trace = run.finish()
+    # Record final_theta once more, since a vr-szht snapshot may spend IZO
+    # after the last step. No oracle call: each iterate is evaluated once.
+    run._record()
+    trace = run.trace
+    trace.final_theta, trace.izo = run.theta, run.est.izo
     want = expected_izo(oracle.n, trace)
     if trace.izo != want:
         raise RuntimeError(

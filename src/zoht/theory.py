@@ -8,8 +8,8 @@ Every function is a direct evaluation of a published closed form; nothing
 here runs an optimizer. One transcription note: the epsilon constant for
 the off-support block is computed with denominator (d - 1), matching the
 on-support constant by symmetry (the source displays a bare "-1", an
-evident misprint). Emitted metadata flags this whenever the constant is
-used (see harness).
+evident misprint). Every meta.txt the harness emits flags this, whether
+or not the run used the constant.
 """
 
 import math

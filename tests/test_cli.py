@@ -32,6 +32,25 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_failed_run_check_exits_2(tmp_path, capsys, monkeypatch):
+    from zoht.vr import ZoComponentEstimator
+
+    estimate = ZoComponentEstimator.estimate
+
+    def overcharging(self, i, theta, directions=None):
+        self.izo += 1
+        return estimate(self, i, theta, directions)
+
+    monkeypatch.setattr(ZoComponentEstimator, "estimate", overcharging)
+    code = main([
+        "attack-surrogate", "--budget", "300", "--seeds", "1", "--eta-grid", "0.01",
+        "--algos", "szoht", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: szoht: trace.izo 300 != expected_izo 275\n"
+
+
 def test_check_theory_matches_module(capsys):
     tp = TheoryParams(d=5, n=10, q=200, s2=5, k=3, kstar=1,
                       rho_minus=0.5, rho_plus=2.0, mu=1e-4, p=1, m=10)

@@ -159,6 +159,15 @@ def test_csv_schemas(tmp_path):
     paths = emit_csv(run_experiment(spec), str(tmp_path / "no_p"))
     text = open([p for p in paths if p.endswith("meta.txt")][0]).read()
     assert "\np=" not in text and "\nm=" not in text and "law=p-saga" in text
+    # an int eta that diverges: meta.txt names each diverged cell as its raw file
+    spec = _tiny_spec(algorithms=["szoht"], eta_grid=[0.02, 10**9], seeds=[1])
+    out = tmp_path / "int_eta"
+    paths = emit_csv(run_experiment(spec), str(out))
+    text = open([p for p in paths if p.endswith("meta.txt")][0]).read()
+    cells = text.split("diverged_cells=")[1].strip().split(";")
+    assert cells == ["szoht,eta1000000000.0,seed1"]
+    for cell in cells:
+        assert (out / ("raw_%s.csv" % cell.replace(",", "_"))).is_file(), cell
 
 
 def test_empty_trace_writes_header_only(tmp_path):
@@ -184,6 +193,32 @@ def test_worker_pool_invariance():
     for key in serial.traces:
         assert serial.traces[key].rows == parallel.traces[key].rows
     assert serial.best_eta == parallel.best_eta
+
+
+def test_pool_asks_for_no_more_workers_than_cells(monkeypatch):
+    import zoht.harness as harness
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness, "_worker_problem", None)
+    spec = _tiny_spec(algorithms=["szoht"], eta_grid=[0.02], seeds=[1, 2])
+    assert len(run_experiment(spec, workers=10**6).traces) == 2
+    assert asked == [2]
 
 
 def test_divergent_cell_not_fatal():

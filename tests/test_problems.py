@@ -181,6 +181,18 @@ def test_attack_problem_validation():
         CwAttackProblem(np.full((2, 4), 0.7), np.array([0, 1]), classifier)
     with pytest.raises(ValueError):
         CwAttackProblem(np.zeros((2, 4)), np.array([0, 5]), classifier)
+    with pytest.raises(ValueError, match="n >= 1"):
+        CwAttackProblem(np.zeros((0, 4)), np.zeros(0, dtype=int), classifier)
+    one_class = surrogate_classifier(4, 1, spawn_stream(12, "data-gen"))
+    with pytest.raises(ValueError, match="num_classes >= 2"):
+        CwAttackProblem(np.zeros((2, 4)), np.array([0, 0]), one_class)
+    for num_classes in (0, 1):
+        with pytest.raises(ValueError, match="num_classes >= 2"):
+            attack_surrogate_problem(4, 48, num_classes, spawn_stream(0, "data-gen"))
+    with pytest.raises(ValueError, match="n >= 1"):
+        attack_surrogate_problem(0, 48, 10, spawn_stream(0, "data-gen"))
+    with pytest.raises(ValueError, match="n >= 1"):
+        RidgeProblem(np.zeros((0, 4)), np.zeros(0), 0.1)
 
 
 # -- bit pins for the oracles' fast paths -------------------------------------

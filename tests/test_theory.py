@@ -273,9 +273,13 @@ def test_system_error_requires_minimizer():
     from zoht.problems import RidgeProblem
 
     base = ridge_synthetic(4, 3, 0.1, spawn_stream(2, "data-gen"))
-    problem = RidgeProblem(base.X, base.y, base.lam)  # no known minimizer
-    with pytest.raises(ValueError):
-        system_error_terms(problem, _tp(n=4, d=3, s2=3, k=2), np.zeros(3))
+    bare = RidgeProblem(base.X, base.y, base.lam)  # no known minimizer
+    # standardized (the default): the generating model fits the raw columns
+    standardized = ridge_synthetic(10, 5, 0.0, spawn_stream(0, "data-gen"))
+    for problem in (bare, standardized):
+        tp = _tp(n=problem.n, d=problem.d, s2=problem.d, k=2)
+        with pytest.raises(ValueError, match="known minimizer"):
+            system_error_terms(problem, tp, np.zeros(problem.d))
 
 
 def test_ridge_rho_bounds_proxy():
