@@ -6,6 +6,12 @@ zeroth-order gradient estimate
 with each u_i a unit vector supported on a uniformly random coordinate
 subset of size s2. The base value f(theta) is evaluated once and reused
 across directions, so one estimate costs exactly q + 1 IZO.
+
+Directions come in two forms. For s2 = d they are the rows of a dense
+(q, d) array. For s2 < d they stay sparse end to end: a pair
+``(values, support)`` of (q, s2) arrays, row i holding the nonzero
+coordinates of u_i and their indices. The probe points are built by
+scattering into copies of theta, and the sum over i is one ``bincount``.
 """
 
 from dataclasses import dataclass
@@ -18,9 +24,12 @@ MU_FLOOR_SCALE = 1e-12
 
 # Probe points are built at most this many coordinates (64 KiB) at a time.
 # malloc recycles a block that size from one estimate to the next. A whole
-# (q, d) array (400 KiB at q = 50, d = 1000) is at times handed back to the
-# kernel after each estimate and paged in again on the next: ~610k page
-# faults and a third of the wall time of a d = 1000 grid pass.
+# (q, d) array of points (400 KiB at q = 50, d = 1000) is at times handed
+# back to the kernel after each estimate and paged in again on the next:
+# ~610k page faults and a third of the wall time of a d = 1000 grid pass.
+# Directions with s2 < d are (q, s2) pairs, not (q, d) arrays, but every
+# probe point is still a full (d,) copy of theta, so the blocks bound
+# probe-point memory on both paths.
 PROBE_BLOCK = 8192
 
 
@@ -54,11 +63,20 @@ class ZoEstimatorConfig:
 
 
 def sample_directions(d, s2, q, rng):
-    """q random unit directions as rows of a (q, d) array.
+    """q random unit directions, each supported on s2 of the d coordinates.
 
     Support: uniformly random size-s2 subset; conditional on the support,
     uniform on the unit sphere of those coordinates (normalized normals).
-    Draw order: the (q, s2) normal values, then, when s2 < d, the supports.
+
+    Returns a dense (q, d) array of rows when s2 = d. When s2 < d, returns
+    a pair ``(values, support)`` of (q, s2) arrays: direction i is
+    ``values[i]`` at the distinct columns ``support[i]`` and zero
+    elsewhere.
+
+    Draw order: the (q, s2) normal values, then, when s2 < d, the supports
+    (see ``_sample_supports``): one (q, s2) integer draw followed by
+    redraws of the repeated entries only, or one (q, d) draw of uniform
+    keys when the supports are dense.
     """
     if not 1 <= s2 <= d:
         raise ValueError("need 1 <= s2 <= d, got s2=%d d=%d" % (s2, d))
@@ -71,29 +89,30 @@ def sample_directions(d, s2, q, rng):
     values /= norms[:, None]
     if s2 == d:
         return values
-    u = np.zeros((q, d))
-    np.put_along_axis(u, _sample_supports(d, s2, q, rng), values, axis=1)
-    return u
+    return values, _sample_supports(d, s2, q, rng)
 
 
 def _sample_supports(d, s2, q, rng):
     """(q, s2) column indices; each row is a uniformly random size-s2
-    subset of range(d), in no particular order."""
+    subset of range(d)."""
     if s2 * (s2 - 1) > 2 * d:
         # Dense supports: the s2 smallest of d i.i.d. uniform keys.
         return np.argpartition(rng.random((q, d)), s2 - 1, axis=1)[:, :s2]
-    # Sparse supports: i.i.d. index rows, each redrawn until its entries
-    # are distinct, which is uniform over subsets. A draw is accepted with
-    # probability prod_{j<s2} (1 - j/d), about exp(-s2(s2-1)/(2d)), so
-    # roughly 1/e or more when s2(s2-1) <= 2d.
-    idx = rng.integers(0, d, size=(q, s2))
-    pending = np.arange(q)
+    # Sparse supports: i.i.d. indices, sorted per row; every entry equal to
+    # its left neighbour is redrawn, and the rows are sorted again, until
+    # no row repeats an index. Each round keeps a row's distinct indices
+    # and adds fresh uniform draws, a rule that commutes with relabelling
+    # the coordinates, so the final subset is uniform. A row of s2 draws
+    # repeats with probability about 1 - exp(-s2(s2-1)/(2d)), at most
+    # 1 - 1/e on this branch.
+    idx = np.sort(rng.integers(0, d, size=(q, s2)), axis=1)
     while True:
-        rows = np.sort(idx[pending], axis=1)
-        pending = pending[np.any(rows[:, 1:] == rows[:, :-1], axis=1)]
-        if not pending.size:
+        repeated = idx[:, 1:] == idx[:, :-1]
+        count = np.count_nonzero(repeated)
+        if not count:
             return idx
-        idx[pending] = rng.integers(0, d, size=(pending.size, s2))
+        idx[:, 1:][repeated] = rng.integers(0, d, size=count)
+        idx.sort(axis=1)
 
 
 def _check_mu(cfg, theta):
@@ -110,8 +129,9 @@ def zo_gradient(f, theta, cfg, rng, directions=None):
 
     Makes ``cfg.izo_per_estimate`` evaluations of ``f`` and charges none
     of them; the caller keeps the tally (``vr.ZoComponentEstimator.izo``).
-    Pass ``directions`` (a (q, d) array) to reuse a frozen direction set,
-    e.g. to couple two estimates.
+    Pass ``directions`` to reuse a frozen direction set, e.g. to couple two
+    estimates: a dense (q, d) array (any s2), or a ``(values, support)``
+    pair of (q, s2) arrays as ``sample_directions`` returns for s2 < d.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (cfg.d,):
@@ -119,22 +139,65 @@ def zo_gradient(f, theta, cfg, rng, directions=None):
     _check_mu(cfg, theta)
     if directions is None:
         directions = sample_directions(cfg.d, cfg.s2, cfg.q, rng)
-    elif directions.shape != (cfg.q, cfg.d):
-        raise ValueError(
-            "directions shape %s does not match (q, d) = (%d, %d)"
-            % (directions.shape, cfg.q, cfg.d)
-        )
+    else:
+        _check_directions(directions, cfg)
+    if isinstance(directions, tuple):
+        return _sparse_estimate(f, theta, cfg, *directions)
     base = f(theta)
-    values = np.empty(cfg.q)
+    fvals = np.empty(cfg.q)
     rows = max(1, PROBE_BLOCK // cfg.d)
     for start in range(0, cfg.q, rows):
         points = cfg.mu * directions[start:start + rows]
         points += theta
         for i, point in enumerate(points, start):
-            values[i] = f(point)
+            fvals[i] = f(point)
+    _check_finite(base, fvals, theta, lambda i: theta + cfg.mu * directions[i])
+    return (cfg.d / (cfg.q * cfg.mu)) * ((fvals - base) @ directions)
+
+
+def _sparse_estimate(f, theta, cfg, values, support):
+    """zo_gradient for directions given as a (values, support) pair. The
+    probe points equal the dense ``mu * u + theta`` byte for byte: off the
+    support that is ``0.0 + theta``, which turns a -0.0 into +0.0."""
+    base = f(theta)
+    fvals = np.empty(cfg.q)
+    shifted = theta + 0.0
+    moved = theta[support] + cfg.mu * values
+    rows = max(1, PROBE_BLOCK // cfg.d)
+    # Flat index of each moved coordinate within its block of points.
+    flat = support + cfg.d * (np.arange(cfg.q) % rows)[:, None]
+    for start in range(0, cfg.q, rows):
+        points = np.empty((min(rows, cfg.q - start), cfg.d))
+        points[...] = shifted
+        points.put(flat[start:start + rows], moved[start:start + rows])
+        for i, point in enumerate(points, start):
+            fvals[i] = f(point)
+
+    def probe(i):
+        point = shifted.copy()
+        point[support[i]] = moved[i]
+        return point
+
+    _check_finite(base, fvals, theta, probe)
+    weights = (fvals - base)[:, None] * values
+    total = np.bincount(support.ravel(), weights=weights.ravel(), minlength=cfg.d)
+    return (cfg.d / (cfg.q * cfg.mu)) * total
+
+
+def _check_directions(directions, cfg):
+    if isinstance(directions, tuple):
+        shape, want = tuple(np.shape(a) for a in directions), ((cfg.q, cfg.s2),) * 2
+    else:
+        shape, want = directions.shape, (cfg.q, cfg.d)
+    if shape != want:
+        raise ValueError("directions shape %s does not match %s" % (shape, want))
+
+
+def _check_finite(base, fvals, theta, probe):
+    """Raise NonFiniteValueError at theta or at the first probe point
+    ``probe(i)`` whose value is not finite."""
     if not np.isfinite(base):
         raise NonFiniteValueError(base, theta)
-    if not np.isfinite(values).all():
-        bad = np.flatnonzero(~np.isfinite(values))[0]
-        raise NonFiniteValueError(values[bad], theta + cfg.mu * directions[bad])
-    return (cfg.d / (cfg.q * cfg.mu)) * ((values - base) @ directions)
+    if not np.isfinite(fvals).all():
+        bad = np.flatnonzero(~np.isfinite(fvals))[0]
+        raise NonFiniteValueError(fvals[bad], probe(bad))

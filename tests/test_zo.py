@@ -14,6 +14,14 @@ from zoht.zo import (
 )
 
 
+def densify(directions, d):
+    """The (q, d) array of the directions in a (values, support) pair."""
+    values, support = directions
+    u = np.zeros((values.shape[0], d))
+    np.put_along_axis(u, support, values, axis=1)
+    return u
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ZoEstimatorConfig(q=0, s2=1, mu=0.1, d=3)
@@ -26,7 +34,8 @@ def test_config_validation():
 def test_direction_unit_norm_and_support():
     rng = spawn_stream(0, "directions")
     for s2 in (1, 2, 5):
-        u = sample_directions(5, s2, 1, rng)[0]
+        u = sample_directions(5, s2, 1, rng)
+        u = (u if s2 == 5 else densify(u, 5))[0]
         assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
         assert nnz(u) <= s2
 
@@ -37,7 +46,7 @@ def test_axis_directions_uniform_s2_1():
     draws = 60_000
     counts = np.zeros(6)
     for _ in range(draws):
-        u = sample_directions(3, 1, 1, rng)[0]
+        u = densify(sample_directions(3, 1, 1, rng), 3)[0]
         j = int(np.flatnonzero(u)[0])
         assert abs(u[j]) == 1.0  # single-coordinate support normalizes to +-1
         counts[2 * j + (0 if u[j] > 0 else 1)] += 1
@@ -46,13 +55,15 @@ def test_axis_directions_uniform_s2_1():
     assert np.all(np.abs(counts - draws * p) <= tol)
 
 
-@pytest.mark.parametrize("d, s2", [(5, 2), (5, 4)])
+@pytest.mark.parametrize("d, s2", [(5, 2), (5, 4), (8, 4)])
 def test_sparse_directions_uniform_support_and_isotropic(d, s2):
-    # (5, 2) takes the redraw branch of the support sampler, (5, 4) the
-    # random-keys branch. Each support has probability 1/C(d, s2), and
+    # (5, 2) and (8, 4) take the redraw branch of the support sampler, (5, 4)
+    # the random-keys branch. At (8, 4) a row of 4 draws repeats an index
+    # with probability 1 - 8*7*6*5/8**4 = 0.59, so most rows go through the
+    # per-entry redraw. Each support has probability 1/C(d, s2), and
     # E[u u^T] = I/d, since P(j in support) = s2/d and E[u_j^2 | j in it] = 1/s2.
     draws = 100_000
-    u = sample_directions(d, s2, draws, spawn_stream(20 + s2, "directions"))
+    u = densify(sample_directions(d, s2, draws, spawn_stream(20 + s2, "directions")), d)
     assert u.shape == (draws, d)
     assert np.all(np.count_nonzero(u, axis=1) == s2)
     assert np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) <= 1e-12
@@ -140,22 +151,42 @@ def test_izo_accounting():
 
 def test_probe_blocks_match_direct_formula():
     # d = 3000 builds the probe points two rows at a time (q = 5: blocks of
-    # 2, 2, 1); the estimate must equal the unblocked formula bit for bit.
+    # 2, 2, 1). Given the dense directions, the estimate must equal the
+    # unblocked formula bit for bit.
     d, q, mu = 3000, 5, 1e-3
     f = lambda th: float(np.sin(th) @ np.arange(1.0, d + 1.0))
     theta = np.linspace(-1.0, 1.0, d)
-    dirs = sample_directions(d, 7, q, spawn_stream(24, "directions"))
+    pair = sample_directions(d, 7, q, spawn_stream(24, "directions"))
+    dirs = densify(pair, d)
     cfg = ZoEstimatorConfig(q=q, s2=7, mu=mu, d=d)
     est = zo_gradient(f, theta, cfg, None, directions=dirs)
     values = np.array([f(p) for p in theta + mu * dirs])
     expected = (d / (q * mu)) * ((values - f(theta)) @ dirs)
     assert est.tobytes() == expected.tobytes()
 
+    # Given the (values, support) pair, f sees the same points byte for
+    # byte, with a -0.0 of theta off the support turned into +0.0 as in
+    # the dense sum. The sum over directions is a bincount instead of a
+    # matrix product, so the estimate matches to within 1e-12 of its
+    # largest entry.
+    outside = np.flatnonzero(np.all(dirs == 0.0, axis=0))[0]
+    theta[outside] = -0.0
+    seen = []
+    est = zo_gradient(lambda th: seen.append(th.copy()) or f(th), theta, cfg, None,
+                      directions=pair)
+    points = theta + mu * dirs
+    assert np.signbit(points[:, outside]).sum() == 0
+    assert len(seen) == q + 1 and seen[0].tobytes() == theta.tobytes()
+    assert all(p.tobytes() == r.tobytes() for p, r in zip(seen[1:], points))
+    values = np.array([f(p) for p in points])
+    expected = (d / (q * mu)) * ((values - f(theta)) @ dirs)
+    np.testing.assert_allclose(est, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+
 
 def test_support_containment_exact():
     cfg = ZoEstimatorConfig(q=3, s2=2, mu=0.01, d=10)
     rng = spawn_stream(7, "directions")
-    dirs = sample_directions(10, 2, 3, rng)
+    dirs = densify(sample_directions(10, 2, 3, rng), 10)
     est = zo_gradient(lambda th: float(th @ th), np.ones(10), cfg, rng, directions=dirs)
     outside = np.flatnonzero(np.all(dirs == 0.0, axis=0))
     assert outside.size >= 10 - 3 * 2
@@ -209,6 +240,10 @@ def test_frozen_directions_shape_checked():
     with pytest.raises(ValueError, match="directions shape"):
         zo_gradient(lambda th: 0.0, np.zeros(4), cfg, None,
                     directions=np.zeros((2, 4)))
+    # A (values, support) pair must be two (q, s2) arrays.
+    with pytest.raises(ValueError, match="directions shape"):
+        zo_gradient(lambda th: 0.0, np.zeros(4), cfg, None,
+                    directions=(np.ones((3, 2)), np.zeros((3, 3), dtype=np.intp)))
 
 
 def test_degenerate_mu_rejected():
@@ -237,6 +272,18 @@ def test_non_finite_value_carries_point():
             rng,
         )
     assert exc.value.point.shape == (2,)
+
+    # s2 < d: the point is the failing probe point theta + mu * u_i, not theta.
+    cfg = ZoEstimatorConfig(q=4, s2=2, mu=0.1, d=5)
+    theta = np.full(5, 0.5)
+    values, support = sample_directions(5, 2, 4, spawn_stream(13, "directions"))
+    with pytest.raises(NonFiniteValueError) as exc:
+        zo_gradient(lambda th: float("nan") if th[2] != 0.5 else 1.0,
+                    theta, cfg, None, directions=(values, support))
+    bad = next(i for i in range(4) if 2 in support[i])
+    expected = densify((values, support), 5)[bad] * 0.1 + theta
+    assert exc.value.point.tobytes() == expected.tobytes()
+    assert not np.array_equal(exc.value.point, theta)
 
 
 def test_full_gradient_reduces_to_single_for_n_1():
