@@ -40,6 +40,7 @@ from .vr import (
     SarahState,
     SvrgSnapshot,
     ZoComponentEstimator,
+    draw_update_set,
     init_gradient_memory,
     memory_update,
     pm_gradient,

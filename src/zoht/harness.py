@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RNG_DESCRIPTION
-from .solvers import SolverConfig, run_solver
+from .solvers import SolverConfig, check_budget, run_solver
 from .theory import EPS_IC_TYPO_NOTE
 from .vr import LAW_P_SAGA
 from .zo import ZoEstimatorConfig
@@ -147,7 +147,8 @@ def run_experiment(spec, workers=1):
     """Execute every (algorithm, eta, seed) cell, pick each algorithm's
     best eta (ties to the smaller eta), and aggregate mean +- std curves
     on common IZO and NHT grids. Divergent cells are kept, flagged, and
-    excluded from selection only if every seed diverged."""
+    excluded from selection only if every seed diverged. A budget too small
+    for any cell's first step is refused before the first cell runs."""
     cells = [
         (token, eta, seed)
         for token in spec.algorithms
@@ -155,6 +156,8 @@ def run_experiment(spec, workers=1):
         for seed in spec.seeds
     ]
     configs = [_solver_config(spec, *cell) for cell in cells]
+    for cfg in configs:
+        check_budget(spec.problem.n, cfg)
     if workers > 1:
         # Fork starts all max_workers processes at the first submit, so ask
         # for no more than there are cells.

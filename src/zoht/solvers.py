@@ -12,9 +12,17 @@ Every run starts at theta = 0, and every step thresholds (1 NHT). A
 single estimate costs q+1 IZO (q probes plus one shared base value), a
 full estimate n(q+1), a coupled pair 2(q+1). Every run ends by checking
 that identity (``expected_izo``) and that every recorded iterate is
-k-sparse. The budget check precedes every gradient estimate, and trace
-function values are measured through the uncounted oracle handle (no
-IZO charge).
+k-sparse. Trace function values are measured through the uncounted oracle
+handle (no IZO charge).
+
+The budget is a ceiling: a unit of work starts only if its whole IZO cost
+fits in what is left. A unit is one step (a pm-szht step with the refresh
+set it drew), except that a vr-szht epoch starts only if its snapshot and
+one inner pair fit, and a sarah-szht epoch if its full pass does (its first
+step reuses it). ``check_budget`` refuses, before any query, a budget below
+the least one: n(q+1), plus 2(q+1) for vr-szht or (J_max+1)(q+1) for
+pm-szht (J_max = p under p-saga, n under svrg-variant), so every run takes
+a step.
 """
 
 from dataclasses import dataclass
@@ -28,6 +36,7 @@ from .vr import (
     UPDATE_LAWS,
     ExactComponentEstimator,
     ZoComponentEstimator,
+    draw_update_set,
     init_gradient_memory,
     memory_update,
     pm_gradient,
@@ -79,10 +88,10 @@ class RunTrace:
 
     rows: (izo, nht, fval, theta_nnz) at theta = 0 and after each step that
     passes the divergence guard, strictly increasing in izo and ending at
-    final_theta unless it tripped the guard. A sarah-szht epoch ends on its
-    picked iterate's row; a vr-szht trace may end on a repeated nht at a
-    trailing snapshot's izo. izo, nht and the step tallies close each
-    solver's IZO identity exactly.
+    (izo, nht) of final_theta unless it tripped the guard. A sarah-szht
+    epoch ends on its picked iterate's row. nht counts the steps; with the
+    epoch and memory-refresh tallies it closes each solver's IZO identity
+    exactly.
     """
 
     rows: list
@@ -91,14 +100,29 @@ class RunTrace:
     izo: int
     nht: int
     diverged: bool = False
-    iterations: int = 0
     epochs: int = 0
-    inner_steps: int = 0
     memory_updates: int = 0
 
     def column(self, name):
         idx = {"izo": 0, "nht": 1, "fval": 2, "nnz": 3}[name]
         return np.array([row[idx] for row in self.rows])
+
+
+def check_budget(oracle_n, cfg):
+    """Raise ValueError if cfg.izo_budget is below the solver's least
+    budget (module docstring), which pays for its first step."""
+    unit = cfg.zo.izo_per_estimate
+    least = oracle_n * unit
+    if cfg.algorithm == "vr-szht":
+        least += 2 * unit
+    elif cfg.algorithm == "pm-szht":
+        j_max = cfg.p if cfg.law == LAW_P_SAGA else oracle_n
+        least += (j_max + 1) * unit
+    if cfg.izo_budget < least:
+        raise ValueError(
+            "izo_budget %d below %s's least budget, %d IZO"
+            % (cfg.izo_budget, cfg.algorithm, least)
+        )
 
 
 class _Run:
@@ -108,12 +132,7 @@ class _Run:
     happen. Algorithm bodies are in _RUNNERS."""
 
     def __init__(self, oracle, cfg):
-        full_pass = oracle.n * cfg.zo.izo_per_estimate
-        if cfg.izo_budget < full_pass:
-            raise ValueError(
-                "izo_budget %d below one full pass n(q+1) = %d"
-                % (cfg.izo_budget, full_pass)
-            )
+        check_budget(oracle.n, cfg)
         self.oracle = oracle
         self.cfg = cfg
         self.idx_rng = spawn_stream(cfg.seed, "indices")
@@ -140,8 +159,10 @@ class _Run:
         rows.append((self.est.izo, self.trace.nht, self.fval, nnz(self.theta)))
         return True
 
-    def budget_left(self):
-        return self.est.izo < self.cfg.izo_budget and not self.trace.diverged
+    def fits(self, cost):
+        """Whether a unit of work costing ``cost`` IZO may start: the run
+        has not diverged and the unit fits in what is left of the budget."""
+        return not self.trace.diverged and self.est.izo + cost <= self.cfg.izo_budget
 
     def sample_index(self):
         return int(self.idx_rng.integers(self.oracle.n))
@@ -156,62 +177,64 @@ class _Run:
     def _szoht(self):
         """One uniformly random component estimate per iteration (q+1 IZO,
         1 NHT)."""
-        while self.budget_left():
+        while self.fits(self.cfg.zo.izo_per_estimate):
             i = self.sample_index()
             self.descend(self.est.estimate(i, self.theta))
-            self.trace.iterations += 1
 
     def _fgzoht(self):
         """Full zeroth-order gradient per iteration (n(q+1) IZO, 1 NHT)."""
-        while self.budget_left():
+        while self.fits(self.oracle.n * self.cfg.zo.izo_per_estimate):
             self.descend(self.est.full(self.theta).mean(axis=0))
-            self.trace.iterations += 1
 
     def _pm_szht(self):
         """Memory-table solver: refresh a random row set, then take one
         three-term step. Init fills the table with a full pass (n(q+1) IZO);
-        each iteration costs (|J|+1)(q+1) IZO and 1 NHT."""
+        each iteration costs (|J|+1)(q+1) IZO and 1 NHT, and the run ends at
+        the first drawn J whose iteration does not fit."""
+        unit = self.cfg.zo.izo_per_estimate
         mem = init_gradient_memory(self.est, self.theta, self.cfg.p, self.cfg.law)
-        while self.budget_left():
-            chosen = memory_update(mem, self.theta, self.est, self.mem_rng)
+        while True:
+            chosen = draw_update_set(mem, self.mem_rng)
+            if not self.fits((len(chosen) + 1) * unit):
+                break
+            memory_update(mem, self.theta, self.est, chosen)
             self.trace.memory_updates += len(chosen)
             i = self.sample_index()
             self.descend(pm_gradient(mem, self.theta, i, self.est))
-            self.trace.iterations += 1
 
     def _vr_szht(self):
         """Snapshot solver: refresh the anchor full gradient each epoch
         (n(q+1) IZO), then m inner steps of 2(q+1) IZO and 1 NHT each. The
-        next anchor is the last inner iterate."""
-        while self.budget_left():
+        next anchor is the last inner iterate. An epoch starts only if its
+        snapshot and one inner step fit."""
+        pair = 2 * self.cfg.zo.izo_per_estimate
+        while self.fits(self.oracle.n * self.cfg.zo.izo_per_estimate + pair):
             snap = take_snapshot(self.est, self.theta)
             self.trace.epochs += 1
             for _ in range(self.cfg.m):
-                if not self.budget_left():
+                if not self.fits(pair):
                     break
                 i = self.sample_index()
                 self.descend(svrg_gradient(snap, self.theta, i, self.est))
-                self.trace.inner_steps += 1
 
     def _sarah_szht(self):
         """Recursive-difference solver. Each epoch: full estimate (n(q+1)
         IZO), a first step reusing it, then m-1 recursion steps of 2(q+1)
         IZO. The epoch output is the iterate at a uniformly random inner
         index, and the row at the epoch's end izo shows it."""
-        while self.budget_left():
+        pair = 2 * self.cfg.zo.izo_per_estimate
+        while self.fits(self.oracle.n * self.cfg.zo.izo_per_estimate):
             state = sarah_init(self.est, self.theta)
             self.trace.epochs += 1
             epoch_iterates = [(self.theta, self.fval)]
             self.descend(state.g_prev)
-            self.trace.inner_steps += 1
             epoch_iterates.append((self.theta, self.fval))
             for _ in range(1, self.cfg.m):
-                if not self.budget_left():
+                if not self.fits(pair):
                     break
                 i = self.sample_index()
                 grad, state = sarah_step(state, self.theta, i, self.est)
                 self.descend(grad)
-                self.trace.inner_steps += 1
                 epoch_iterates.append((self.theta, self.fval))
             pick = int(self.idx_rng.integers(len(epoch_iterates)))
             self.theta, self.fval = epoch_iterates[pick]
@@ -234,9 +257,6 @@ def run_solver(oracle, cfg):
     recorded iterate and the final one are k-sparse."""
     run = _Run(oracle, cfg)
     _RUNNERS[cfg.algorithm](run)
-    # Record final_theta once more, since a vr-szht snapshot may spend IZO
-    # after the last step. No oracle call: each iterate is evaluated once.
-    run._record()
     trace = run.trace
     trace.final_theta, trace.izo = run.theta, run.est.izo
     want = expected_izo(oracle.n, trace)
@@ -251,24 +271,21 @@ def run_solver(oracle, cfg):
 
 
 def expected_izo(oracle_n, trace):
-    """Closed-form IZO count implied by the per-iteration rules and the
-    trace's tallies; equals trace.izo exactly for every solver."""
+    """Closed-form IZO count implied by the per-iteration rules, nht and
+    the trace's tallies; equals trace.izo exactly for every solver."""
     cfg = trace.config
     unit = cfg.zo.q + 1
     algo = cfg.algorithm
     if algo == "szoht":
-        return trace.iterations * unit
+        return trace.nht * unit
     if algo == "fgzoht":
-        return trace.iterations * oracle_n * unit
+        return trace.nht * oracle_n * unit
     if algo == "pm-szht":
-        return (oracle_n + trace.iterations + trace.memory_updates) * unit
+        return (oracle_n + trace.nht + trace.memory_updates) * unit
     if algo == "vr-szht":
-        return trace.epochs * oracle_n * unit + trace.inner_steps * 2 * unit
+        return trace.epochs * oracle_n * unit + trace.nht * 2 * unit
     if algo == "sarah-szht":
-        return (
-            trace.epochs * oracle_n * unit
-            + (trace.inner_steps - trace.epochs) * 2 * unit
-        )
+        return trace.epochs * oracle_n * unit + (trace.nht - trace.epochs) * 2 * unit
     raise ValueError(algo)
 
 

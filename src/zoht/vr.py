@@ -117,11 +117,10 @@ def draw_update_set(mem, rng):
     return np.empty(0, dtype=np.intp)
 
 
-def memory_update(mem, theta, estimator, rng):
-    """Draw J and replace the stored rows j in J with fresh estimates at
-    theta (|J|(q+1) IZO). The mean is maintained incrementally and
-    resynced from the table every n refreshes. Returns J."""
-    chosen = draw_update_set(mem, rng)
+def memory_update(mem, theta, estimator, chosen):
+    """Replace the stored rows j in the drawn set J (``draw_update_set``)
+    with fresh estimates at theta (|J|(q+1) IZO). The mean is maintained
+    incrementally and resynced from the table every n refreshes."""
     for j in chosen:
         fresh = estimator.estimate(int(j), theta)
         mem.mean = mem.mean + (fresh - mem.table[j]) / mem.n
@@ -129,7 +128,6 @@ def memory_update(mem, theta, estimator, rng):
         mem.updates_since_sync += 1
     if mem.updates_since_sync >= mem.n:
         mem.resync_mean()
-    return chosen
 
 
 def pm_gradient(mem, theta, i_r, estimator):

@@ -7,9 +7,9 @@ writes, next to this file:
   cli/<run>/     raw and aggregate CSVs and meta.txt from cut-down versions
                  of the four standard CLI invocations (run from the repo
                  root, so meta.txt names the dataset by its relative path)
-  library.json   rows, final_theta bytes, izo, nht, diverged and the four
-                 tallies of run_solver over five solvers x {ridge, attack}
-                 x shared_directions {off, on}
+  library.json   rows, final_theta bytes, izo, nht, diverged and the epoch
+                 and memory-refresh tallies of run_solver over five solvers
+                 x {ridge, attack} x shared_directions {off, on}
   platform.json  numpy's version and platform.machine(); the bytes are
                  pinned on that platform only
 
@@ -85,9 +85,7 @@ def library_digest():
             "izo": tr.izo,
             "nht": tr.nht,
             "diverged": tr.diverged,
-            "iterations": tr.iterations,
             "epochs": tr.epochs,
-            "inner_steps": tr.inner_steps,
             "memory_updates": tr.memory_updates,
         }
     return out

@@ -27,6 +27,7 @@ from zoht.vr import (
     LAW_P_SAGA,
     ExactComponentEstimator,
     ZoComponentEstimator,
+    draw_update_set,
     init_gradient_memory,
     memory_update,
     pm_gradient,
@@ -138,7 +139,8 @@ def test_criterion_04_vr_unbiasedness_and_sarah_bias():
         theta = np.array([-0.1, 0.5, 0.2, 0.0])
         true_grad = problem.mean_gradient(theta)
         mem = init_gradient_memory(est, theta0, p=1, law=LAW_P_SAGA)
-        memory_update(mem, np.zeros(4), est, spawn_stream(n, "memory-sets"))
+        chosen = draw_update_set(mem, spawn_stream(n, "memory-sets"))
+        memory_update(mem, np.zeros(4), est, chosen)
         pm_mean = np.mean([pm_gradient(mem, theta, i, est) for i in range(n)], axis=0)
         snap = take_snapshot(est, theta0)
         svrg_mean = np.mean(
@@ -255,36 +257,38 @@ def test_criterion_07_sparse_recovery():
 
 
 def _replay_izo(algo, n, q, budget, m=None, p=None):
+    """IZO and NHT of a run that starts each unit of work only if its whole
+    cost fits in the budget (p-saga memory law, so |J| = p)."""
     unit = q + 1
     izo = 0
     nht = 0
     if algo == "szoht":
-        while izo < budget:
+        while izo + unit <= budget:
             izo += unit
             nht += 1
     elif algo == "fgzoht":
-        while izo < budget:
+        while izo + n * unit <= budget:
             izo += n * unit
             nht += 1
     elif algo == "pm-szht":
         izo = n * unit
-        while izo < budget:
+        while izo + (p + 1) * unit <= budget:
             izo += (p + 1) * unit
             nht += 1
     elif algo == "vr-szht":
-        while izo < budget:
+        while izo + (n + 2) * unit <= budget:
             izo += n * unit
             for _ in range(m):
-                if izo >= budget:
+                if izo + 2 * unit > budget:
                     break
                 izo += 2 * unit
                 nht += 1
     elif algo == "sarah-szht":
-        while izo < budget:
+        while izo + n * unit <= budget:
             izo += n * unit
             nht += 1  # first step reuses the epoch estimate
             for _ in range(1, m):
-                if izo >= budget:
+                if izo + 2 * unit > budget:
                     break
                 izo += 2 * unit
                 nht += 1

@@ -89,6 +89,9 @@ def test_bad_p_or_law_fails_before_first_cell(monkeypatch):
             run_experiment(_tiny_spec(algorithms=algos, m=2, p=p))
     with pytest.raises(ValueError, match="'bogus'"):
         run_experiment(_tiny_spec(algorithms=algos, m=2, law="bogus"))
+    # one full pass (55 IZO) is szoht's least budget, not vr's
+    with pytest.raises(ValueError, match="vr-szht's least budget, 77 IZO"):
+        run_experiment(_tiny_spec(algorithms=algos, m=2, izo_budget=55))
     assert calls == []
     _tiny_spec(algorithms=["szoht"], p=6)  # p is only checked for pm-szht
 

@@ -72,7 +72,7 @@ def test_fgzoht_izo_per_iteration():
     problem = ridge_synthetic(10, 5, 0.5, spawn_stream(2, "data-gen"))
     zo = ZoEstimatorConfig(q=200, s2=5, mu=1e-4, d=5)
     trace = run_solver(problem, _cfg("fgzoht", eta=0.05, k=3, zo=zo, budget=2010, seed=3))
-    assert trace.iterations == 1
+    assert trace.nht == 1
     assert trace.izo == 2010
 
 
@@ -105,7 +105,7 @@ def test_fgzoht_monotone_decrease_small_eta():
         problem, _cfg("fgzoht", eta=0.02, k=4, zo=zo, budget=budget, seed=6)
     )
     fvals = trace.column("fval")
-    assert trace.iterations == 50
+    assert trace.nht == 50
     assert np.all(np.diff(fvals) <= 1e-6)
 
 
@@ -132,7 +132,7 @@ def test_vr_epoch_izo_m_1():
     # per epoch: n(q+1) + 2(q+1) = 55 + 22
     izo = trace.column("izo")
     assert np.all(np.diff(izo) == 77)
-    assert trace.epochs == trace.inner_steps
+    assert trace.epochs == trace.nht
 
 
 def test_sarah_m1_is_full_gradient_epochs():
@@ -143,7 +143,7 @@ def test_sarah_m1_is_full_gradient_epochs():
     )
     izo = trace.column("izo")
     assert np.all(np.diff(izo) == 4 * 11)  # one full pass per epoch, no recursion
-    assert trace.inner_steps == trace.epochs
+    assert trace.nht == trace.epochs
 
 
 def test_sarah_inner_step_cost():
@@ -161,14 +161,10 @@ def test_sarah_inner_step_cost():
 
 
 def _assert_one_row_per_step(trace):
-    """izo strictly increases and row i is at nht i, except that a vr-szht
-    trace may end with one more row, at its trailing snapshot's izo."""
+    """izo strictly increases and row i is at nht i."""
     izo, nht = trace.column("izo"), trace.column("nht")
     assert np.all(np.diff(izo) > 0)
-    steps = np.arange(len(nht))
-    if trace.config.algorithm == "vr-szht" and len(nht) > 1 and nht[-1] == nht[-2]:
-        steps[-1] -= 1
-    np.testing.assert_array_equal(nht, steps)
+    np.testing.assert_array_equal(nht, np.arange(len(nht)))
 
 
 def test_all_solvers_seed_deterministic_and_sparse():
@@ -201,9 +197,51 @@ def test_all_solvers_seed_deterministic_and_sparse():
         if k == 0:
             assert not t1.final_theta.any()
         assert expected_izo(problem.n, t1) == t1.izo
-        assert t1.izo >= cfg.izo_budget
+        assert t1.izo <= cfg.izo_budget
         assert t1.nht == t1.column("nht")[-1]
         _assert_one_row_per_step(t1)
+
+
+def test_budget_is_a_ceiling_and_spent_to_the_last_unit():
+    # a unit of work starts only if its whole cost fits, so no cell passes
+    # its budget, a cell that does not diverge ends on a row at its final
+    # izo, and what is left is less than the next unit would cost:
+    # q+1 (szoht), n(q+1) (fgzoht), (p+1)(q+1) (pm, p-saga), an inner pair
+    # 2(q+1), or at an epoch's end the next epoch's first step
+    cases = (
+        (ridge_synthetic(6, 5, 0.3, spawn_stream(9, "data-gen")), 5, (0.05, 1.0)),
+        (ridge_synthetic(6, 30, 0.3, spawn_stream(19, "data-gen")), 4, (0.05, 1.0)),
+        (attack_surrogate_problem(4, 12, 5, spawn_stream(0, "data-gen")), 12, (0.01,)),
+    )
+    algos = ("szoht", "fgzoht", "pm-szht", "vr-szht", "sarah-szht")
+    q, m = 12, 3
+    unit = q + 1
+    diverged = 0
+    for (problem, s2, etas), algo, shared, budget in itertools.product(
+        cases, algos, (False, True), (1111, 1500)
+    ):
+        n = problem.n
+        zo = ZoEstimatorConfig(q=q, s2=s2, mu=1e-4, d=problem.d)
+        for eta in etas:
+            cfg = _cfg(algo, eta=eta, k=3, zo=zo, budget=budget, seed=41, m=m, p=2,
+                       shared_directions=shared)
+            trace = run_solver(problem, cfg)
+            where = (problem.d, algo, shared, budget, eta)
+            assert trace.izo <= budget, where
+            if trace.diverged:
+                diverged += 1
+                continue
+            assert trace.rows[-1][:2] == (trace.izo, trace.nht), where
+            epoch_done = trace.nht == trace.epochs * m
+            next_unit = {
+                "szoht": unit,
+                "fgzoht": n * unit,
+                "pm-szht": 3 * unit,
+                "vr-szht": (n + 2) * unit if epoch_done else 2 * unit,
+                "sarah-szht": n * unit if epoch_done else 2 * unit,
+            }[algo]
+            assert budget - trace.izo < next_unit, where
+    assert diverged > 0
 
 
 class ScaledOracle(FunctionOracle):
@@ -299,7 +337,7 @@ def test_izo_overcharge_caught_at_end_of_run(monkeypatch):
         return estimate(self, i, theta, directions)
 
     monkeypatch.setattr(ZoComponentEstimator, "estimate", overcharging)
-    with pytest.raises(RuntimeError, match="szoht: trace.izo 204 != expected_izo 187"):
+    with pytest.raises(RuntimeError, match="szoht: trace.izo 192 != expected_izo 176"):
         run_solver(problem, _cfg("szoht", eta=0.01, k=2, zo=zo, budget=200, seed=1))
 
 
@@ -383,7 +421,7 @@ def test_sarah_hand_off_rows_describe_the_next_epoch_start(monkeypatch):
                                      budget=80_000, seed=1, m=10))
     at_izo = {row[0]: (nht, row) for nht, row in enumerate(trace.rows)}
     hand_offs = starts[1:]
-    assert len(hand_offs) == 14
+    assert len(hand_offs) == 13
     for izo, theta in hand_offs:
         nht, row = at_izo[izo]
         assert row == (izo, nht, problem.mean_value(theta), nnz(theta))
@@ -413,12 +451,12 @@ def test_diverged_sarah_trace_ends_at_an_in_bounds_pick():
 
 
 def test_budget_check_precedes_estimates():
-    # izo stops at the first check point at or past the budget
+    # a step starts only if its whole cost fits in what is left
     problem = ridge_synthetic(5, 4, 0.1, spawn_stream(10, "data-gen"))
     zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
-    budget = 5 * 11 + 1  # one iteration beyond the full pass
+    budget = 5 * 11 + 1  # one IZO beyond the full pass
     trace = run_solver(problem, _cfg("szoht", eta=0.01, k=2, zo=zo, budget=budget, seed=12))
-    assert trace.izo == 66  # ceil(56/11) = 6 iterations of 11
+    assert trace.izo == 55  # floor(56/11) = 5 iterations of 11
 
 
 def test_divergence_guard_aborts():
@@ -435,10 +473,31 @@ def test_divergence_guard_aborts():
 
 
 def test_budget_below_full_pass_rejected():
-    problem = ridge_synthetic(5, 4, 0.1, spawn_stream(12, "data-gen"))
+    # each solver's least budget pays for its first step: one full pass
+    # (5 * 11 = 55 IZO), plus one inner pair for vr-szht or one largest
+    # refresh step for pm-szht. One IZO less is refused before any query;
+    # exactly the least budget is spent in full.
+    base = ridge_synthetic(5, 4, 0.1, spawn_stream(12, "data-gen"))
     zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
-    with pytest.raises(ValueError):
-        run_solver(problem, _cfg("szoht", eta=0.01, k=2, zo=zo, budget=54, seed=14))
+    cases = (  # algorithm, options, least budget, steps taken at it
+        ("szoht", {}, 55, 5),
+        ("fgzoht", {}, 55, 1),
+        ("sarah-szht", dict(m=3), 55, 1),
+        ("vr-szht", dict(m=3), 55 + 22, 1),
+        ("pm-szht", dict(p=2), 55 + 33, 1),
+        ("pm-szht", dict(p=2, law="svrg-variant"), 55 + 66, None),
+    )
+    for algo, kw, least, steps in cases:
+        problem = CountingRidge(base.X, base.y, base.lam)
+        with pytest.raises(ValueError, match="below %s's least budget" % algo):
+            run_solver(problem, _cfg(algo, eta=0.01, k=2, zo=zo, budget=least - 1,
+                                     seed=14, **kw))
+        assert problem.calls == problem.values == 0, algo
+        trace = run_solver(problem, _cfg(algo, eta=0.01, k=2, zo=zo, budget=least,
+                                         seed=14, **kw))
+        assert trace.nht >= 1 and trace.izo <= least, algo
+        if steps is not None:
+            assert (trace.nht, trace.izo) == (steps, least), algo
 
 
 def test_vr_collapses_to_exact_descent_for_n_1():
@@ -507,7 +566,10 @@ def test_sarah_thresholds_every_inner_step():
     zo = ZoEstimatorConfig(q=8, s2=4, mu=1e-4, d=4)
     base = dict(eta=0.02, k=2, zo=zo, budget=600, seed=23, m=3)
     thresholded = run_solver(problem, _cfg("sarah-szht", **base))
-    assert thresholded.nht == thresholded.inner_steps
+    # 8 whole epochs of 4(q+1) + 2 * 2(q+1) = 72 IZO fit in 600; m = 3
+    # steps, each thresholded, per epoch
+    assert thresholded.epochs == 8
+    assert thresholded.nht == 8 * 3
 
 
 def test_shared_directions_runs_and_is_deterministic():

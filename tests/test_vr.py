@@ -9,6 +9,7 @@ from zoht.vr import (
     LAW_SVRG_VARIANT,
     ExactComponentEstimator,
     ZoComponentEstimator,
+    draw_update_set,
     init_gradient_memory,
     memory_update,
     pm_gradient,
@@ -45,7 +46,8 @@ def test_svrg_variant_empty_branch_leaves_memory_untouched():
     mem = init_gradient_memory(est, np.zeros(3), p=1, law=LAW_SVRG_VARIANT)
     table_before = mem.table.copy()
     izo_before = est.izo
-    chosen = memory_update(mem, np.ones(3), est, _FixedUniformRng(0.99))
+    chosen = draw_update_set(mem, _FixedUniformRng(0.99))
+    memory_update(mem, np.ones(3), est, chosen)
     assert chosen.size == 0
     np.testing.assert_array_equal(mem.table, table_before)
     assert est.izo == izo_before
@@ -56,7 +58,8 @@ def test_svrg_variant_full_branch_refreshes_all():
     est = _zo_estimator(problem)
     mem = init_gradient_memory(est, np.zeros(3), p=1, law=LAW_SVRG_VARIANT)
     izo_before = est.izo
-    chosen = memory_update(mem, np.ones(3), est, _FixedUniformRng(0.0))
+    chosen = draw_update_set(mem, _FixedUniformRng(0.0))
+    memory_update(mem, np.ones(3), est, chosen)
     assert chosen.size == 4
     assert est.izo - izo_before == 4 * est.cfg.izo_per_estimate
 
@@ -66,7 +69,8 @@ def test_p_saga_full_refresh_when_p_equals_n():
     est = _zo_estimator(problem)
     mem = init_gradient_memory(est, np.zeros(3), p=5, law=LAW_P_SAGA)
     table_before = mem.table.copy()
-    chosen = memory_update(mem, np.ones(3), est, spawn_stream(3, "memory-sets"))
+    chosen = draw_update_set(mem, spawn_stream(3, "memory-sets"))
+    memory_update(mem, np.ones(3), est, chosen)
     assert chosen.size == 5
     assert not np.allclose(mem.table, table_before)
 
@@ -82,7 +86,9 @@ def test_marginal_update_probability():
     counts = np.zeros(4)
     theta = np.zeros(2)
     for _ in range(iters):
-        for j in memory_update(mem, theta, est, rng):
+        chosen = draw_update_set(mem, rng)
+        memory_update(mem, theta, est, chosen)
+        for j in chosen:
             counts[j] += 1
     p = 0.25
     tol = 3.0 * np.sqrt(iters * p * (1 - p))
@@ -128,7 +134,8 @@ def test_pm_exhaustive_unbiasedness():
         est = ExactComponentEstimator(problem)
         theta0 = np.array([0.5, 0.0, -0.2, 0.1])
         mem = init_gradient_memory(est, theta0, p=1, law=LAW_P_SAGA)
-        memory_update(mem, np.zeros(4), est, spawn_stream(n, "memory-sets"))
+        chosen = draw_update_set(mem, spawn_stream(n, "memory-sets"))
+        memory_update(mem, np.zeros(4), est, chosen)
         theta = np.array([-0.4, 0.8, 0.0, 0.3])
         mean_g = np.mean(
             [pm_gradient(mem, theta, i, est) for i in range(n)], axis=0
@@ -142,7 +149,7 @@ def test_memory_mean_consistency():
     mem = init_gradient_memory(est, np.zeros(3), p=2, law=LAW_P_SAGA)
     rng = spawn_stream(21, "memory-sets")
     for t in range(50):
-        memory_update(mem, np.full(3, 0.1 * t), est, rng)
+        memory_update(mem, np.full(3, 0.1 * t), est, draw_update_set(mem, rng))
         assert np.max(np.abs(mem.mean - mem.table.mean(axis=0))) <= 1e-10
 
 
