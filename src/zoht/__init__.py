@@ -37,7 +37,6 @@ from .zo import ZoEstimatorConfig, zo_gradient
 from .vr import (
     ExactComponentEstimator,
     GradientMemory,
-    SarahState,
     SvrgSnapshot,
     ZoComponentEstimator,
     draw_update_set,

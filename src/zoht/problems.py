@@ -207,22 +207,25 @@ class CwAttackProblem(FunctionOracle):
     f_i(theta) = max(F_true(clip(x_i + theta)) - max_other F_j(...), 0).
 
     Driving the hinge to zero flips the prediction, so the solvers'
-    descent orientation applies directly. Values are always >= 0.
+    descent orientation applies directly. Values are always >= 0. The
+    images and labels are fixed at construction as read-only copies.
     """
 
     def __init__(self, images, labels, classifier):
-        images = np.asarray(images, dtype=np.float64)
+        images = np.array(images, dtype=np.float64)
         if images.ndim != 2 or images.shape[0] < 1:
             raise ValueError("images must be (n, d) with n >= 1")
         if classifier.num_classes < 2:
             raise ValueError("need num_classes >= 2, got %d" % classifier.num_classes)
         if np.any(images < PIXEL_LO) or np.any(images > PIXEL_HI):
             raise ValueError("images must lie in [%g, %g]" % (PIXEL_LO, PIXEL_HI))
-        labels = np.asarray(labels, dtype=np.intp)
+        labels = np.array(labels, dtype=np.intp)
         if labels.shape != (images.shape[0],):
             raise ValueError("labels must be (n,)")
         if np.any(labels < 0) or np.any(labels >= classifier.num_classes):
             raise ValueError("label out of range")
+        images.flags.writeable = False
+        labels.flags.writeable = False
         self.images = images
         self.labels = labels
         self.classifier = classifier

@@ -6,7 +6,8 @@ keep the k largest-magnitude coordinates. Five estimators are wired in:
   fgzoht      full (all-component) zeroth-order estimate per step
   pm-szht     memory table with probabilistic refresh (SAGA family)
   vr-szht     snapshot anchor refreshed every m inner steps (SVRG family)
-  sarah-szht  recursive difference estimate (biased after the first step)
+  sarah-szht  snapshot anchor moved to every new iterate (SARAH family;
+              recursive, so biased after the first step)
 
 Every run starts at theta = 0, and every step thresholds (1 NHT). A
 single estimate costs q+1 IZO (q probes plus one shared base value), a
@@ -79,6 +80,8 @@ class SolverConfig:
             raise ValueError("pm-szht needs the memory update rate p")
         if self.law not in UPDATE_LAWS:
             raise ValueError("unknown update law %r" % self.law)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %d" % self.seed)
 
 
 @dataclass
@@ -224,16 +227,16 @@ class _Run:
         index, and the row at the epoch's end izo shows it."""
         pair = 2 * self.cfg.zo.izo_per_estimate
         while self.fits(self.oracle.n * self.cfg.zo.izo_per_estimate):
-            state = sarah_init(self.est, self.theta)
+            snap = sarah_init(self.est, self.theta)
             self.trace.epochs += 1
             epoch_iterates = [(self.theta, self.fval)]
-            self.descend(state.g_prev)
+            self.descend(snap.anchor_grad)
             epoch_iterates.append((self.theta, self.fval))
             for _ in range(1, self.cfg.m):
                 if not self.fits(pair):
                     break
                 i = self.sample_index()
-                grad, state = sarah_step(state, self.theta, i, self.est)
+                grad, snap = sarah_step(snap, self.theta, i, self.est)
                 self.descend(grad)
                 epoch_iterates.append((self.theta, self.fval))
             pick = int(self.idx_rng.integers(len(epoch_iterates)))
@@ -305,8 +308,9 @@ def gradient_squared_decomposition(
 
     ``estimator`` selects among the five constructions; ``exact`` swaps
     the zeroth-order source for exact component gradients (diagnostic
-    mode). Snapshot/memory/recursion states are built once at theta, then
-    held fixed across samples.
+    mode). Snapshot and memory states are built once at theta, then held
+    fixed across samples. At a fixed theta a recursion step is the snapshot
+    estimator anchored at theta, so "sarah" draws exactly as "svrg" does.
     Refused below 100 samples.
     """
     if samples < 100:
@@ -319,13 +323,11 @@ def gradient_squared_decomposition(
     else:
         source = ZoComponentEstimator(oracle, cfg, dir_rng, shared_directions)
 
-    snapshot = memory = state = None
-    if estimator == "svrg":
+    snapshot = memory = None
+    if estimator in ("svrg", "sarah"):
         snapshot = take_snapshot(source, theta)
     if estimator == "pm":
         memory = init_gradient_memory(source, theta, p=1, law=LAW_P_SAGA)
-    if estimator == "sarah":
-        state = sarah_init(source, theta)
 
     def draw():
         if estimator == "fgzoht":
@@ -333,13 +335,10 @@ def gradient_squared_decomposition(
         i = int(idx_rng.integers(oracle.n))
         if estimator == "szoht":
             return source.estimate(i, theta)
-        if estimator == "svrg":
+        if estimator in ("svrg", "sarah"):
             return svrg_gradient(snapshot, theta, i, source)
         if estimator == "pm":
             return pm_gradient(memory, theta, i, source)
-        if estimator == "sarah":
-            g, _ = sarah_step(state, theta, i, source)
-            return g
         raise ValueError("unknown estimator %r" % estimator)
 
     draws = np.stack([draw() for _ in range(samples)])

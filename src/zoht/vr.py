@@ -1,8 +1,10 @@
 """Variance-reduced gradient constructors: the per-component memory table
-with probabilistic refresh laws, the snapshot (anchor + full gradient)
-estimator, and the recursive-difference estimator.
+with probabilistic refresh laws, and the snapshot estimator
+g = est f_i(theta) - est f_i(anchor) + anchor gradient. The
+recursive-difference (SARAH) estimator is the snapshot estimator whose
+anchor moves to each new iterate, carrying the last g as its gradient.
 
-All three are generic over the inner per-component gradient source: the
+All of them are generic over the inner per-component gradient source: the
 zeroth-order estimator for real runs, or exact gradients for test stubs,
 which is what makes exhaustive enumeration oracles feasible in tests.
 """
@@ -141,7 +143,7 @@ def pm_gradient(mem, theta, i_r, estimator):
 @dataclass
 class SvrgSnapshot:
     anchor: np.ndarray
-    anchor_grad: np.ndarray   # full-gradient estimate at the anchor
+    anchor_grad: np.ndarray   # gradient estimate the steps build on
 
 
 def take_snapshot(estimator, theta):
@@ -151,28 +153,20 @@ def take_snapshot(estimator, theta):
 
 def svrg_gradient(snap, theta, i_t, estimator):
     """Estimate of grad f_{i_t} at theta, minus the same component at the
-    anchor, plus the anchor full gradient (2(q+1) IZO)."""
+    anchor, plus the anchor gradient (2(q+1) IZO)."""
     g_theta, g_anchor = estimator.estimate_pair(i_t, theta, snap.anchor)
     return g_theta - g_anchor + snap.anchor_grad
 
 
-@dataclass
-class SarahState:
-    g_prev: np.ndarray
-    theta_prev: np.ndarray
+# A sarah-szht epoch starts from a snapshot like a vr-szht epoch; its own
+# name keeps the two apart in bench/tracer.py's spans.
+sarah_init = take_snapshot
 
 
-def sarah_init(estimator, theta):
-    """Epoch start: the recursion is seeded with the full estimate at the
-    anchor (n(q+1) IZO)."""
-    return SarahState(estimator.full(theta).mean(axis=0), np.array(theta))
-
-
-def sarah_step(state, theta, i_t, estimator):
-    """One recursion step (2(q+1) IZO):
-    g = est f_{i_t}(theta) - est f_{i_t}(theta_prev) + g_prev.
-    Returns (g, advanced state). Unlike the memory and snapshot
+def sarah_step(snap, theta, i_t, estimator):
+    """One recursion step (2(q+1) IZO): the snapshot estimate g against
+    the previous iterate, then the anchor moves to theta with g as its
+    gradient. Returns (g, moved snapshot). Unlike the memory and snapshot
     estimators, the recursion is biased after the first inner step."""
-    g_theta, g_prev_pt = estimator.estimate_pair(i_t, theta, state.theta_prev)
-    g = g_theta - g_prev_pt + state.g_prev
-    return g, SarahState(g_prev=g, theta_prev=np.array(theta))
+    g = svrg_gradient(snap, theta, i_t, estimator)
+    return g, SvrgSnapshot(np.array(theta), g)

@@ -132,6 +132,9 @@ def zo_gradient(f, theta, cfg, rng, directions=None):
     Pass ``directions`` to reuse a frozen direction set, e.g. to couple two
     estimates: a dense (q, d) array (any s2), or a ``(values, support)``
     pair of (q, s2) arrays as ``sample_directions`` returns for s2 < d.
+
+    Raises NonFiniteValueError at theta or at the first probe point whose
+    value is not finite, that point byte for byte as ``f`` saw it.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (cfg.d,):
@@ -141,46 +144,44 @@ def zo_gradient(f, theta, cfg, rng, directions=None):
         directions = sample_directions(cfg.d, cfg.s2, cfg.q, rng)
     else:
         _check_directions(directions, cfg)
-    if isinstance(directions, tuple):
-        return _sparse_estimate(f, theta, cfg, *directions)
+    rows = max(1, PROBE_BLOCK // cfg.d)
+    sparse = isinstance(directions, tuple)
+    if sparse:
+        # The points equal the dense ``mu * u + theta`` byte for byte: off
+        # the support that is ``0.0 + theta``, which turns a -0.0 into +0.0.
+        values, support = directions
+        shifted = theta + 0.0
+        moved = theta[support] + cfg.mu * values
+        # Flat index of each moved coordinate within its block of points.
+        flat = support + cfg.d * (np.arange(cfg.q) % rows)[:, None]
+
+        def block(start):
+            points = np.empty((min(rows, cfg.q - start), cfg.d))
+            points[...] = shifted
+            points.put(flat[start:start + rows], moved[start:start + rows])
+            return points
+    else:
+        def block(start):
+            points = cfg.mu * directions[start:start + rows]
+            points += theta
+            return points
+
     base = f(theta)
     fvals = np.empty(cfg.q)
-    rows = max(1, PROBE_BLOCK // cfg.d)
     for start in range(0, cfg.q, rows):
-        points = cfg.mu * directions[start:start + rows]
-        points += theta
-        for i, point in enumerate(points, start):
+        for i, point in enumerate(block(start), start):
             fvals[i] = f(point)
-    _check_finite(base, fvals, theta, lambda i: theta + cfg.mu * directions[i])
-    return (cfg.d / (cfg.q * cfg.mu)) * ((fvals - base) @ directions)
-
-
-def _sparse_estimate(f, theta, cfg, values, support):
-    """zo_gradient for directions given as a (values, support) pair. The
-    probe points equal the dense ``mu * u + theta`` byte for byte: off the
-    support that is ``0.0 + theta``, which turns a -0.0 into +0.0."""
-    base = f(theta)
-    fvals = np.empty(cfg.q)
-    shifted = theta + 0.0
-    moved = theta[support] + cfg.mu * values
-    rows = max(1, PROBE_BLOCK // cfg.d)
-    # Flat index of each moved coordinate within its block of points.
-    flat = support + cfg.d * (np.arange(cfg.q) % rows)[:, None]
-    for start in range(0, cfg.q, rows):
-        points = np.empty((min(rows, cfg.q - start), cfg.d))
-        points[...] = shifted
-        points.put(flat[start:start + rows], moved[start:start + rows])
-        for i, point in enumerate(points, start):
-            fvals[i] = f(point)
-
-    def probe(i):
-        point = shifted.copy()
-        point[support[i]] = moved[i]
-        return point
-
-    _check_finite(base, fvals, theta, probe)
-    weights = (fvals - base)[:, None] * values
-    total = np.bincount(support.ravel(), weights=weights.ravel(), minlength=cfg.d)
+    if not np.isfinite(base):
+        raise NonFiniteValueError(base, theta)
+    if not np.isfinite(fvals).all():
+        bad = np.flatnonzero(~np.isfinite(fvals))[0]
+        raise NonFiniteValueError(fvals[bad], block(bad - bad % rows)[bad % rows])
+    diffs = fvals - base
+    if sparse:
+        total = np.bincount(support.ravel(), weights=(diffs[:, None] * values).ravel(),
+                            minlength=cfg.d)
+    else:
+        total = diffs @ directions
     return (cfg.d / (cfg.q * cfg.mu)) * total
 
 
@@ -192,12 +193,3 @@ def _check_directions(directions, cfg):
     if shape != want:
         raise ValueError("directions shape %s does not match %s" % (shape, want))
 
-
-def _check_finite(base, fvals, theta, probe):
-    """Raise NonFiniteValueError at theta or at the first probe point
-    ``probe(i)`` whose value is not finite."""
-    if not np.isfinite(base):
-        raise NonFiniteValueError(base, theta)
-    if not np.isfinite(fvals).all():
-        bad = np.flatnonzero(~np.isfinite(fvals))[0]
-        raise NonFiniteValueError(fvals[bad], probe(bad))

@@ -156,7 +156,7 @@ def test_criterion_04_vr_unbiasedness_and_sarah_bias():
     eta, k = 0.1, 2
     theta0 = np.array([0.5, -0.5, 0.25])
     state0 = sarah_init(est, theta0)
-    theta1 = hard_threshold(theta0 - eta * state0.g_prev, k)
+    theta1 = hard_threshold(theta0 - eta * state0.anchor_grad, k)
     witness = 0.0
     for i1 in (0, 1):
         g1, state1 = sarah_step(state0, theta1, i1, est)

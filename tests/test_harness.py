@@ -92,6 +92,9 @@ def test_bad_p_or_law_fails_before_first_cell(monkeypatch):
     # one full pass (55 IZO) is szoht's least budget, not vr's
     with pytest.raises(ValueError, match="vr-szht's least budget, 77 IZO"):
         run_experiment(_tiny_spec(algorithms=algos, m=2, izo_budget=55))
+    # seed 1 comes first, so a late check would run its cells
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        run_experiment(_tiny_spec(algorithms=algos, m=2, seeds=[1, -1]))
     assert calls == []
     _tiny_spec(algorithms=["szoht"], p=6)  # p is only checked for pm-szht
 

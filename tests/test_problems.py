@@ -301,3 +301,16 @@ def test_ridge_ignores_later_writes_to_caller_arrays():
     X *= 2.0
     y += 1.0
     assert [_bits(problem.component(i, theta)) for i in range(3)] == before
+
+
+def test_cw_attack_ignores_later_writes_to_caller_arrays():
+    rng = spawn_stream(19, "data-gen")
+    classifier = surrogate_classifier(4, 3, rng)
+    images = rng.uniform(PIXEL_LO, PIXEL_HI, size=(3, 4))
+    labels = np.array([0, 1, 2])
+    problem = CwAttackProblem(images, labels, classifier)
+    theta = 0.1 * rng.standard_normal(4)
+    before = [_bits(problem.component(i, theta)) for i in range(3)]
+    images[:] = 7.0  # outside the pixel box the constructor checks
+    labels[:] = 5    # no such class
+    assert [_bits(problem.component(i, theta)) for i in range(3)] == before

@@ -559,6 +559,8 @@ def test_config_validation():
         SolverConfig(algorithm="szoht", eta=0.1, k=9, zo=zo, izo_budget=100, seed=0)
     with pytest.raises(ValueError):
         SolverConfig(algorithm="pm-szht", eta=0.1, k=2, zo=zo, izo_budget=100, seed=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SolverConfig(algorithm="szoht", eta=0.1, k=2, zo=zo, izo_budget=100, seed=-1)
 
 
 def test_sarah_thresholds_every_inner_step():
@@ -615,6 +617,11 @@ def test_decomposition_memory_and_recursive_estimators():
             problem, theta, zo, 300, seed=27, estimator=estimator
         )
         assert var >= 0.0 and np.isfinite(mean_sq)
+    # At a fixed theta a recursion step is the snapshot estimator anchored
+    # there: the same draws give the same numbers.
+    assert gradient_squared_decomposition(
+        problem, theta, zo, 300, seed=27, estimator="sarah"
+    ) == gradient_squared_decomposition(problem, theta, zo, 300, seed=27, estimator="svrg")
     with pytest.raises(ValueError):
         gradient_squared_decomposition(
             problem, theta, zo, 300, seed=28, estimator="bogus"

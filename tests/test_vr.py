@@ -191,8 +191,8 @@ def test_sarah_step_at_same_point_with_shared_directions():
     theta = np.array([0.4, 0.0, -0.2])
     state = sarah_init(est, theta)
     g, new_state = sarah_step(state, theta, 1, est)
-    np.testing.assert_array_equal(g, state.g_prev)
-    np.testing.assert_array_equal(new_state.theta_prev, theta)
+    np.testing.assert_array_equal(g, state.anchor_grad)
+    np.testing.assert_array_equal(new_state.anchor, theta)
 
 
 def test_sarah_single_component_telescopes():
@@ -218,7 +218,7 @@ def test_sarah_conditional_bias_witness():
     eta, k = 0.1, 2
     theta0 = np.array([0.5, -0.5, 0.25])
     state0 = sarah_init(est, theta0)
-    theta1 = hard_threshold(theta0 - eta * state0.g_prev, k)
+    theta1 = hard_threshold(theta0 - eta * state0.anchor_grad, k)
 
     worst = 0.0
     for i1 in (0, 1):

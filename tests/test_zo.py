@@ -285,6 +285,24 @@ def test_non_finite_value_carries_point():
     assert exc.value.point.tobytes() == expected.tobytes()
     assert not np.array_equal(exc.value.point, theta)
 
+    # d = 3000: probe points come in blocks of 2 rows, and the point is
+    # rebuilt from a later block, dense (s2 = d) and sparse (s2 < d) alike.
+    theta = spawn_stream(13, "data-gen").standard_normal(3000)
+    for s2, bad in ((3000, 3), (20, 4)):
+        cfg = ZoEstimatorConfig(q=5, s2=s2, mu=0.1, d=3000)
+        directions = sample_directions(3000, s2, 5, spawn_stream(13, "directions"))
+        dense = directions if s2 == 3000 else densify(directions, 3000)
+        seen = []
+
+        def f(th):
+            seen.append(th.copy())
+            return float("nan") if len(seen) == bad + 2 else 1.0
+
+        with pytest.raises(NonFiniteValueError) as exc:
+            zo_gradient(f, theta, cfg, None, directions=directions)
+        assert exc.value.point.tobytes() == seen[bad + 1].tobytes()
+        assert exc.value.point.tobytes() == (dense[bad] * 0.1 + theta).tobytes()
+
 
 def test_full_gradient_reduces_to_single_for_n_1():
     problem = ridge_synthetic(1, 4, 0.1, spawn_stream(14, "data-gen"), standardize=False)
