@@ -46,6 +46,13 @@ def _comma_floats(text):
     return [float(tok) for tok in text.split(",") if tok]
 
 
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError("seed must be >= 0, got %d" % seed)
+    return seed
+
+
 def _comma_ints(text):
     return [int(tok) for tok in text.split(",") if tok]
 
@@ -88,7 +95,7 @@ def build_parser():
     rs.add_argument("--n", type=int, default=10)
     rs.add_argument("--d", type=int, default=5)
     rs.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    rs.add_argument("--data-seed", type=int, default=0)
+    rs.add_argument("--data-seed", type=_seed, default=0)
     _add_run_options(rs, 3, 200, 1e-4, 10, 80_000, DEFAULT_ETA_GRID)
 
     rc = subs.add_parser("ridge-csv", help="ridge benchmark on a CSV dataset")
@@ -101,7 +108,7 @@ def build_parser():
     at.add_argument("--n", type=int, default=4)
     at.add_argument("--d", type=int, default=48)
     at.add_argument("--classes", type=int, default=10)
-    at.add_argument("--data-seed", type=int, default=0)
+    at.add_argument("--data-seed", type=_seed, default=0)
     _add_run_options(at, 6, 10, 1e-3, 10, 600, ATTACK_ETA_GRID)
 
     ct = subs.add_parser("check-theory", help="print closed-form constants")

@@ -19,8 +19,10 @@ def hard_threshold(v, k):
     d = v.shape[0]
     if not 0 <= k <= d:
         raise ValueError("sparsity k=%d out of range for d=%d" % (k, d))
-    out = np.zeros_like(v)
-    keep = np.argsort(-np.abs(v), kind="stable")[:k]
+    # The array methods give the results of the np.zeros_like / np.argsort
+    # wrappers without their per-call overhead.
+    out = np.zeros(d, v.dtype)
+    keep = (-np.abs(v)).argsort(kind="stable")[:k]
     # Zeros are not kept, so a -0.0 among the top k comes out as +0.0.
     keep = keep[v[keep] != 0.0]
     out[keep] = v[keep]

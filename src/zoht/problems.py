@@ -4,6 +4,7 @@ pluggable black-box classifier, with a shipped linear-softmax surrogate.
 """
 
 import csv
+import math
 import warnings
 
 import numpy as np
@@ -185,13 +186,18 @@ class LinearSoftmaxClassifier(BlackBoxClassifier):
         self.num_classes = self.weights.shape[0]
 
     def log_probs(self, x):
-        scores = self.weights @ x + self.bias
-        return scores - _logsumexp(scores)
-
-
-def _logsumexp(v):
-    m = v.max()
-    return m + np.log(np.exp(v - m).sum())
+        # scores - logsumexp(scores) with numpy's bits: ``.dot`` is the
+        # same gemv as ``@``, and ``np.add.reduce`` keeps the pairwise sum
+        # order. The builtin ``max`` can differ from numpy's only in the
+        # sign of a zero maximum, which the result does not depend on, or
+        # with a nan score, which makes every output nan either way.
+        scores = self.weights.dot(x)
+        scores += self.bias
+        m = max(scores.tolist())
+        t = scores - m
+        np.exp(t, out=t)
+        scores -= m + np.log(np.add.reduce(t))
+        return scores
 
 
 def surrogate_classifier(d_image, num_classes, rng):
@@ -228,11 +234,9 @@ class CwAttackProblem(FunctionOracle):
         labels.flags.writeable = False
         self.images = images
         self.labels = labels
+        self._labels = labels.tolist()
         self.classifier = classifier
         self.n, self.d = images.shape
-        # Row t lists every class but t, in order: the rivals of label t.
-        classes = np.arange(classifier.num_classes)
-        self._rivals = np.array([np.delete(classes, t) for t in classes])
 
     def component(self, i, theta):
         return cw_loss(self, i, theta)
@@ -255,11 +259,17 @@ def cw_loss(problem, i, theta):
     its own storage.
     """
     x = problem.attacked_image(i, theta)
-    lp = np.asarray(problem.classifier.log_probs(x), dtype=np.float64)
-    if not np.isfinite(lp).all():
+    lp = np.asarray(problem.classifier.log_probs(x), dtype=np.float64).tolist()
+    if not all(map(math.isfinite, lp)):
         raise ArithmeticError("classifier returned non-finite log-probs")
-    true = problem.labels[i]
-    return max(float(lp[true] - lp[problem._rivals[true]].max()), 0.0)
+    true = lp.pop(problem._labels[i])
+    # lp now holds the rivals in class order. Of equal floats the builtin
+    # max keeps the first and numpy's max the last, which differ only for
+    # a best rival of +-0.0; that one comes from numpy.
+    rival = max(lp)
+    if rival == 0.0:
+        rival = float(np.max(lp))
+    return max(true - rival, 0.0)
 
 
 def attack_surrogate_problem(n, d_image, num_classes, rng):

@@ -81,11 +81,12 @@ def sample_directions(d, s2, q, rng):
     if not 1 <= s2 <= d:
         raise ValueError("need 1 <= s2 <= d, got s2=%d d=%d" % (s2, d))
     values = rng.standard_normal((q, s2))
-    norms = np.linalg.norm(values, axis=1)
+    # np.linalg.norm(values, axis=1)'s own formula, without its wrapper.
+    norms = np.sqrt(np.add.reduce(values * values, axis=1))
     while not norms.all():  # essentially impossible; redraw defensively
         bad = norms == 0.0
         values[bad] = rng.standard_normal((np.count_nonzero(bad), s2))
-        norms = np.linalg.norm(values, axis=1)
+        norms = np.sqrt(np.add.reduce(values * values, axis=1))
     values /= norms[:, None]
     if s2 == d:
         return values

@@ -23,6 +23,16 @@ def test_unknown_subcommand_exits_1():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("command", ["ridge-synthetic", "attack-surrogate"])
+def test_negative_data_seed_is_a_usage_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data-seed", "-1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: argument --data-seed: seed must be >= 0, got -1\n" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code = main([
         "ridge-csv", "--file", str(tmp_path / "nope.csv"), "--target", "y",

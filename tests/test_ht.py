@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from zoht.core import nnz
+from zoht.core import nnz, spawn_stream
 from zoht.ht import expansivity_ratio, hard_threshold
 from zoht.theory import alpha
 
@@ -128,3 +128,25 @@ def test_expansivity_preconditions():
         expansivity_ratio(v, target, 1)  # k <= nnz(target)
     with pytest.raises(ValueError):
         expansivity_ratio(target, target, 2)  # v == target
+
+
+def _hard_threshold_reference(v, k):
+    out = np.zeros_like(v)
+    keep = np.argsort(-np.abs(v), kind="stable")[:k]
+    keep = keep[v[keep] != 0.0]
+    out[keep] = v[keep]
+    return out
+
+
+def test_bits_match_reference_with_ties_signed_zeros_and_nan():
+    rng = spawn_stream(21, "data-gen")
+    for dtype in (np.float64, np.float32):
+        for _ in range(1000):
+            d = int(rng.integers(1, 60))
+            k = int(rng.integers(0, d + 1))
+            v = rng.integers(-3, 4, d) * rng.choice([1.0, -1.0], d)  # ties, +-0
+            v[rng.random(d) < 0.1] = np.nan
+            v = v.astype(dtype)
+            got = hard_threshold(v, k)
+            assert got.dtype == dtype
+            assert got.tobytes() == _hard_threshold_reference(v, k).tobytes()

@@ -227,6 +227,37 @@ def test_cw_loss_bits_match_reference(num_classes):
     assert saturated > 100 and floored > 10 and floored < 1000
 
 
+@pytest.mark.parametrize("scores", [[-0.0, 0.0], [0.0, -0.0],
+                                    [-0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]])
+@pytest.mark.parametrize("label", [0, 1])
+def test_cw_loss_signed_zero_bits_match_reference(scores, label):
+    # numpy's max keeps the last of equal floats, the builtin max the first
+    problem = _tiny_attack(scores, label)
+    got = cw_loss(problem, 0, np.zeros(3))
+    assert _bits(got) == _bits(_cw_reference(problem, 0, np.zeros(3)))
+
+
+def _log_probs_reference(classifier, x):
+    scores = classifier.weights @ x + classifier.bias
+    m = np.max(scores)
+    return scores - (m + np.log(np.exp(scores - m).sum()))
+
+
+@pytest.mark.parametrize("num_classes", [2, 10])
+def test_log_probs_bits_match_reference(num_classes):
+    rng = spawn_stream(20, "data-gen")
+    classifier = surrogate_classifier(48, num_classes, rng)
+    saturated = 0
+    for scale in (0.0, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6):
+        for _ in range(100):
+            raw = rng.standard_normal(48) * scale
+            for x in (raw, np.clip(raw, PIXEL_LO, PIXEL_HI)):
+                got = classifier.log_probs(x)
+                assert got.tobytes() == _log_probs_reference(classifier, x).tobytes()
+                saturated += np.max(got) == 0.0  # the other classes underflow
+    assert saturated > 100
+
+
 def test_attacked_image_matches_clip_bits_and_is_fresh():
     images = np.array([[0.0, -0.0, 0.5, -0.5, 0.25, 0.1, -0.1]])
     classifier = surrogate_classifier(7, 3, spawn_stream(14, "data-gen"))

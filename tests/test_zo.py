@@ -90,6 +90,34 @@ def test_full_support_draw_pinned():
         assert rng.random() == ref.random()
 
 
+class _ScaledNormals:
+    """A generator whose standard normals are multiplied by ``scale``."""
+
+    def __init__(self, rng, scale):
+        self.rng, self.scale = rng, scale
+
+    def standard_normal(self, shape):
+        return self.rng.standard_normal(shape) * self.scale
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_direction_values_normalised_by_linalg_norm():
+    # Row norms are np.linalg.norm's, bit for bit, on both direction forms
+    # and at scales far from 1.
+    shapes = ((10, 48, 48), (200, 5, 5), (50, 20, 20), (3, 1000, 1000),
+              (50, 1000, 20), (10, 30, 4))
+    for q, d, s2 in shapes:
+        for scale in (1e-150, 1e-3, 1.0, 1e150):
+            rng = _ScaledNormals(spawn_stream(22, "directions"), scale)
+            u = sample_directions(d, s2, q, rng)
+            values = u if s2 == d else u[0]
+            ref = _ScaledNormals(spawn_stream(22, "directions"), scale)
+            g = ref.standard_normal((q, s2))
+            assert values.tobytes() == (g / np.linalg.norm(g, axis=1)[:, None]).tobytes()
+
+
 def test_second_moment_isotropy_full_support():
     # E[u u^T] = I/d on the sphere; entrywise within 0.02 over 1e5 draws.
     rng = spawn_stream(2, "directions")
