@@ -53,8 +53,8 @@ def _seed(text):
     return seed
 
 
-def _comma_ints(text):
-    return [int(tok) for tok in text.split(",") if tok]
+def _comma_seeds(text):
+    return [_seed(tok) for tok in text.split(",") if tok]
 
 
 def _comma_algos(text):
@@ -76,7 +76,7 @@ def _add_run_options(sub, k, q, mu, m, budget, eta_grid):
     sub.add_argument("--m", type=int, default=m,
                      help="default: floor(n/2)" if m is None else None)
     sub.add_argument("--budget", type=int, default=budget)
-    sub.add_argument("--seeds", type=_comma_ints, default=[1, 2, 3])
+    sub.add_argument("--seeds", type=_comma_seeds, default=[1, 2, 3])
     sub.add_argument("--eta-grid", type=_comma_floats, default=_comma_floats(eta_grid))
     sub.add_argument("--algos", type=_comma_algos, default=_comma_algos(DEFAULT_ALGOS))
     sub.add_argument("--p", type=int, default=1, help="memory update rate")

@@ -60,6 +60,12 @@ class ExperimentSpec:
         bad = [a for a in self.algorithms if a not in ALGO_TOKENS]
         if bad:
             raise ValueError("unknown algorithm token(s) %s" % bad)
+        named = {}
+        for token in self.algorithms:
+            other = named.setdefault(ALGO_TOKENS[token], token)
+            if other != token:
+                raise ValueError("algorithm tokens %r and %r both name %s"
+                                 % (other, token, ALGO_TOKENS[token]))
         if self.select not in ("final", "min"):
             raise ValueError("select must be 'final' or 'min'")
         n = self.problem.n

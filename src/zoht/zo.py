@@ -22,16 +22,6 @@ import numpy as np
 # dominated by rounding noise.
 MU_FLOOR_SCALE = 1e-12
 
-# Probe points are built at most this many coordinates (64 KiB) at a time.
-# malloc recycles a block that size from one estimate to the next. A whole
-# (q, d) array of points (400 KiB at q = 50, d = 1000) is at times handed
-# back to the kernel after each estimate and paged in again on the next:
-# ~610k page faults and a third of the wall time of a d = 1000 grid pass.
-# Directions with s2 < d are (q, s2) pairs, not (q, d) arrays, but every
-# probe point is still a full (d,) copy of theta, so the blocks bound
-# probe-point memory on both paths.
-PROBE_BLOCK = 8192
-
 
 class NonFiniteValueError(ArithmeticError):
     """The objective returned a non-finite value at ``point``."""
@@ -128,8 +118,9 @@ def zo_gradient(f, theta, cfg, rng, directions=None):
     """Forward-difference gradient estimate of a scalar function at theta,
     as a (d,) array.
 
-    Makes ``cfg.izo_per_estimate`` evaluations of ``f`` and charges none
-    of them; the caller keeps the tally (``vr.ZoComponentEstimator.izo``).
+    Makes ``cfg.izo_per_estimate`` evaluations of ``f``, at theta and then
+    at each row of one (q, d) array of probe points, and charges none of
+    them; the caller keeps the tally (``vr.ZoComponentEstimator.izo``).
     Pass ``directions`` to reuse a frozen direction set, e.g. to couple two
     estimates: a dense (q, d) array (any s2), or a ``(values, support)``
     pair of (q, s2) arrays as ``sample_directions`` returns for s2 < d.
@@ -145,38 +136,27 @@ def zo_gradient(f, theta, cfg, rng, directions=None):
         directions = sample_directions(cfg.d, cfg.s2, cfg.q, rng)
     else:
         _check_directions(directions, cfg)
-    rows = max(1, PROBE_BLOCK // cfg.d)
     sparse = isinstance(directions, tuple)
     if sparse:
         # The points equal the dense ``mu * u + theta`` byte for byte: off
         # the support that is ``0.0 + theta``, which turns a -0.0 into +0.0.
         values, support = directions
-        shifted = theta + 0.0
-        moved = theta[support] + cfg.mu * values
-        # Flat index of each moved coordinate within its block of points.
-        flat = support + cfg.d * (np.arange(cfg.q) % rows)[:, None]
-
-        def block(start):
-            points = np.empty((min(rows, cfg.q - start), cfg.d))
-            points[...] = shifted
-            points.put(flat[start:start + rows], moved[start:start + rows])
-            return points
+        points = np.empty((cfg.q, cfg.d))
+        points[...] = theta + 0.0
+        points[np.arange(cfg.q)[:, None], support] = theta[support] + cfg.mu * values
     else:
-        def block(start):
-            points = cfg.mu * directions[start:start + rows]
-            points += theta
-            return points
+        points = cfg.mu * directions
+        points += theta
 
     base = f(theta)
     fvals = np.empty(cfg.q)
-    for start in range(0, cfg.q, rows):
-        for i, point in enumerate(block(start), start):
-            fvals[i] = f(point)
+    for i, point in enumerate(points):
+        fvals[i] = f(point)
     if not np.isfinite(base):
         raise NonFiniteValueError(base, theta)
     if not np.isfinite(fvals).all():
         bad = np.flatnonzero(~np.isfinite(fvals))[0]
-        raise NonFiniteValueError(fvals[bad], block(bad - bad % rows)[bad % rows])
+        raise NonFiniteValueError(fvals[bad], points[bad])
     diffs = fvals - base
     if sparse:
         total = np.bincount(support.ravel(), weights=(diffs[:, None] * values).ravel(),

@@ -33,6 +33,15 @@ def test_negative_data_seed_is_a_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ridge-synthetic", "--seeds", "1,-1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: argument --seeds: seed must be >= 0, got -1\n" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code = main([
         "ridge-csv", "--file", str(tmp_path / "nope.csv"), "--target", "y",

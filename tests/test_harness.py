@@ -70,12 +70,15 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         _tiny_spec(select="middle")
     # an exact repeat would run its cells twice and weight them double in
-    # eta scores and curves; aliases name different output files
+    # eta scores and curves
     for repeat in (dict(seeds=[1, 1, 2]), dict(eta_grid=[0.01, 0.01]),
                    dict(algorithms=["szoht", "saga", "szoht"])):
         with pytest.raises(ValueError, match="repeats an entry"):
             _tiny_spec(**repeat)
-    _tiny_spec(algorithms=["saga", "pm-szht"])
+    # so would two spellings of one algorithm, under two output names
+    for first, second in (("saga", "pm-szht"), ("vr-szht", "vr"), ("sarah", "sarah-szht")):
+        with pytest.raises(ValueError, match="tokens '%s' and '%s' both name" % (first, second)):
+            _tiny_spec(algorithms=["szoht", first, second])
 
 
 def test_bad_p_or_law_fails_before_first_cell(monkeypatch):

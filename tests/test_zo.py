@@ -178,9 +178,9 @@ def test_izo_accounting():
 
 
 def test_probe_blocks_match_direct_formula():
-    # d = 3000 builds the probe points two rows at a time (q = 5: blocks of
-    # 2, 2, 1). Given the dense directions, the estimate must equal the
-    # unblocked formula bit for bit.
+    # d = 3000, q = 5: all five probe points are rows of one (q, d) array.
+    # Given the dense directions, the estimate must equal the direct
+    # formula bit for bit.
     d, q, mu = 3000, 5, 1e-3
     f = lambda th: float(np.sin(th) @ np.arange(1.0, d + 1.0))
     theta = np.linspace(-1.0, 1.0, d)
@@ -313,8 +313,8 @@ def test_non_finite_value_carries_point():
     assert exc.value.point.tobytes() == expected.tobytes()
     assert not np.array_equal(exc.value.point, theta)
 
-    # d = 3000: probe points come in blocks of 2 rows, and the point is
-    # rebuilt from a later block, dense (s2 = d) and sparse (s2 < d) alike.
+    # d = 3000: a late probe fails, and the error carries the row of the
+    # probe array that f saw, dense (s2 = d) and sparse (s2 < d) alike.
     theta = spawn_stream(13, "data-gen").standard_normal(3000)
     for s2, bad in ((3000, 3), (20, 4)):
         cfg = ZoEstimatorConfig(q=5, s2=s2, mu=0.1, d=3000)
