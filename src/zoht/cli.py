@@ -42,10 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _comma_floats(text):
-    return [float(tok) for tok in text.split(",") if tok]
-
-
 def _seed(text):
     seed = int(text)
     if seed < 0:
@@ -53,18 +49,30 @@ def _seed(text):
     return seed
 
 
-def _comma_seeds(text):
-    return [_seed(tok) for tok in text.split(",") if tok]
+def _algo(token):
+    if token not in ALGO_TOKENS:
+        raise argparse.ArgumentTypeError(
+            "unknown algorithm %r (known: %s)" % (token, ",".join(sorted(ALGO_TOKENS))))
+    return token
 
 
-def _comma_algos(text):
-    algos = [tok.strip() for tok in text.split(",") if tok.strip()]
-    for a in algos:
-        if a not in ALGO_TOKENS:
-            raise argparse.ArgumentTypeError(
-                "unknown algorithm %r (known: %s)" % (a, ",".join(sorted(ALGO_TOKENS)))
-            )
-    return algos
+def _comma_list(convert, key=None):
+    """argparse type of a list flag: comma-separated, no ``key`` twice."""
+    def parse(text):
+        values, seen = [], {}
+        for token in filter(None, map(str.strip, text.split(","))):
+            try:
+                value = convert(token)
+            except ValueError as exc:  # float() and int() name the token
+                raise argparse.ArgumentTypeError(str(exc)) from None
+            name = value if key is None else key(value)
+            if name in seen:
+                raise argparse.ArgumentTypeError(
+                    "entries %r and %r both name %s" % (seen[name], token, name))
+            seen[name] = token
+            values.append(value)
+        return values
+    return parse
 
 
 def _add_run_options(sub, k, q, mu, m, budget, eta_grid):
@@ -76,9 +84,10 @@ def _add_run_options(sub, k, q, mu, m, budget, eta_grid):
     sub.add_argument("--m", type=int, default=m,
                      help="default: floor(n/2)" if m is None else None)
     sub.add_argument("--budget", type=int, default=budget)
-    sub.add_argument("--seeds", type=_comma_seeds, default=[1, 2, 3])
-    sub.add_argument("--eta-grid", type=_comma_floats, default=_comma_floats(eta_grid))
-    sub.add_argument("--algos", type=_comma_algos, default=_comma_algos(DEFAULT_ALGOS))
+    sub.add_argument("--seeds", type=_comma_list(_seed), default=[1, 2, 3])
+    sub.add_argument("--eta-grid", type=_comma_list(float), default=eta_grid)
+    sub.add_argument("--algos", type=_comma_list(_algo, ALGO_TOKENS.get),
+                     default=DEFAULT_ALGOS)
     sub.add_argument("--p", type=int, default=1, help="memory update rate")
     sub.add_argument("--law", choices=UPDATE_LAWS, default=LAW_P_SAGA)
     sub.add_argument("--select", choices=["final", "min"], default="final")

@@ -74,14 +74,16 @@ class FunctionOracle:
     for out-of-band measurement (e.g. trace function values).
 
     Cost, for people who write a black box: a zeroth-order estimate calls
-    ``component`` once per IZO, and the default ``mean_value`` calls it n
-    more times per solver step for the divergence guard. On small inputs
-    (tens of coordinates or classes) numpy's per-call overhead, not the
-    arithmetic, sets that cost. A numpy reduction (``a.max()``,
-    ``a.all()``, ``a.sum()``) costs about 2 us on tens of entries;
-    ``a.tolist()`` once, then the builtin ``max`` or ``all``, gives the
-    same values for less (but of equal floats ``max`` keeps the first and
-    numpy the last, so a max of -0.0 and 0.0 differs). Sums keep
+    ``component`` once per IZO, through ``map`` over the probe rows, and
+    the default ``mean_value`` calls it n more times per solver step for
+    the divergence guard. On small inputs (tens of coordinates or classes)
+    numpy's per-call overhead, not the arithmetic, sets that cost: even an
+    extra Python frame or an ``X[i]`` view per call is a measurable share
+    of it (``RidgeProblem`` caches its rows for that). A numpy reduction
+    (``a.max()``, ``a.all()``, ``a.sum()``) costs about 2 us on tens of
+    entries; ``a.tolist()`` once, then the builtin ``max`` or ``all``,
+    gives the same values for less (but of equal floats ``max`` keeps the
+    first and numpy the last, so a max of -0.0 and 0.0 differs). Sums keep
     ``np.add.reduce``, whose pairwise order the builtin ``sum`` does not
     follow. Prefer in-place ufuncs over extra temporaries, ``a.dot(b)``
     to ``a @ b`` on 1-D vectors (the same BLAS call at half the

@@ -20,6 +20,8 @@ class RidgeProblem(FunctionOracle):
 
     The data are fixed at construction: X and y are read-only copies,
     and ``_y`` and ``_half_lam`` cache y and lam / 2 as Python floats.
+    ``_rows`` holds the rows of X as views, one ``X[i]`` fewer per call;
+    pickles leave it out, as each view would pickle a copy of its row.
     """
 
     def __init__(self, X, y, lam, theta_star=None):
@@ -32,6 +34,7 @@ class RidgeProblem(FunctionOracle):
         X.flags.writeable = False
         y.flags.writeable = False
         self.X = X
+        self._rows = tuple(X)
         self.y = y
         self._y = tuple(y.tolist())
         self.lam = float(lam)
@@ -39,18 +42,22 @@ class RidgeProblem(FunctionOracle):
         self.n, self.d = X.shape
         self.minimizer = None if theta_star is None else np.asarray(theta_star, float)
 
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_rows"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _rows=tuple(state["X"]))
+
     # ``a.dot(b)`` is the same BLAS ddot as ``a @ b`` on 1-D float64
     # arrays, with half the call overhead; Python floats give the same
     # IEEE results as numpy scalars, faster.
-    def _residual(self, i, theta):
-        return float(self.X[i].dot(theta)) - self._y[i]
-
     def component(self, i, theta):
-        r = self._residual(i, theta)
+        r = float(self._rows[i].dot(theta)) - self._y[i]
         return r * r + self._half_lam * float(theta.dot(theta))
 
     def component_gradient(self, i, theta):
-        return 2.0 * self._residual(i, theta) * self.X[i] + self.lam * theta
+        x = self._rows[i]
+        return 2.0 * (float(x.dot(theta)) - self._y[i]) * x + self.lam * theta
 
     def mean_value(self, theta):
         r = self.X @ theta - self.y

@@ -14,6 +14,7 @@ coordinates of u_i and their indices. The probe points are built by
 scattering into copies of theta, and the sum over i is one ``bincount``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,10 +150,8 @@ def zo_gradient(f, theta, cfg, rng, directions=None):
         points += theta
 
     base = f(theta)
-    fvals = np.empty(cfg.q)
-    for i, point in enumerate(points):
-        fvals[i] = f(point)
-    if not np.isfinite(base):
+    fvals = np.fromiter(map(f, points), np.float64, cfg.q)
+    if not math.isfinite(base):
         raise NonFiniteValueError(base, theta)
     if not np.isfinite(fvals).all():
         bad = np.flatnonzero(~np.isfinite(fvals))[0]

@@ -42,6 +42,21 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seeds", "1,1", "entries '1' and '1' both name 1"),
+    ("--algos", "vr,vr-szht", "entries 'vr' and 'vr-szht' both name vr-szht"),
+    ("--eta-grid", "0.1,0.1", "entries '0.1' and '0.1' both name 0.1"),
+    ("--eta-grid", "0.1,x", "could not convert string to float: 'x'"),
+])
+def test_bad_list_entry_is_a_usage_error(tmp_path, capsys, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["ridge-synthetic", flag, value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: argument %s: %s\n" % (flag, message) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code = main([
         "ridge-csv", "--file", str(tmp_path / "nope.csv"), "--target", "y",

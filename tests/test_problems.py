@@ -1,4 +1,5 @@
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -312,6 +313,34 @@ def test_ridge_value_and_gradient_bits_match_reference_across_widths():
             assert _bits(problem.component(i, theta)) == _bits(want)
             grad = problem.component_gradient(i, theta)
             assert grad.tobytes() == (2.0 * r * X[i] + lam * theta).tobytes()
+
+
+class _TaggedRidge(RidgeProblem):
+    def __init__(self, X, y, lam, tag):
+        super().__init__(X, y, lam)
+        self.tag = tag
+
+
+def test_ridge_pickles_to_the_same_bits_and_carries_x_once():
+    problem = ridge_synthetic(2000, 100, 0.5, spawn_stream(0, "data-gen"))
+    blob = pickle.dumps(problem)
+    # The size before the row cache existed; the cached row views must
+    # not add a second copy of X.
+    assert len(blob) <= 1_634_316
+    copy = pickle.loads(blob)
+    rng = spawn_stream(20, "data-gen")
+    for _ in range(10):
+        theta = rng.standard_normal(100)
+        i = int(rng.integers(problem.n))
+        assert _bits(copy.component(i, theta)) == _bits(problem.component(i, theta))
+        assert (copy.component_gradient(i, theta).tobytes()
+                == problem.component_gradient(i, theta).tobytes())
+
+    # A subclass's own attributes survive the round trip.
+    tagged = _TaggedRidge(problem.X[:3], problem.y[:3], 0.5, "t")
+    twin = pickle.loads(pickle.dumps(tagged))
+    assert twin.tag == "t" and type(twin) is _TaggedRidge
+    assert _bits(twin.component(2, theta)) == _bits(tagged.component(2, theta))
 
 
 def test_ridge_data_is_read_only():

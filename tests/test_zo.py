@@ -332,6 +332,77 @@ def test_non_finite_value_carries_point():
         assert exc.value.point.tobytes() == (dense[bad] * 0.1 + theta).tobytes()
 
 
+def _item_assignment_reference(f, theta, directions, mu):
+    """zo_gradient's dense formula with one ``fvals[i] = f(point)`` per probe."""
+    q, d = directions.shape
+    points = mu * directions
+    points += theta
+    base = f(theta)
+    fvals = np.empty(q)
+    for i, point in enumerate(points):
+        fvals[i] = f(point)
+    return (d / (q * mu)) * ((fvals - base) @ directions)
+
+
+@pytest.mark.parametrize("convert", [
+    float, np.float64, np.float32, np.array,
+    lambda v: int(1e6 * v), lambda v: bool(v > 0.3),
+], ids=["float", "float64", "float32", "0d-array", "int", "bool"])
+def test_probe_values_convert_as_item_assignment(convert):
+    cfg = ZoEstimatorConfig(q=7, s2=4, mu=0.1, d=4)
+    theta = np.array([0.3, -0.2, 0.5, 0.1])
+    directions = sample_directions(4, 4, 7, spawn_stream(20, "directions"))
+
+    def f(th):
+        return convert(float(th.dot(th)) - 0.2)
+
+    g = zo_gradient(f, theta, cfg, None, directions=directions)
+    want = _item_assignment_reference(f, theta, directions, cfg.mu)
+    assert g.tobytes() == want.tobytes()
+
+
+def test_probe_value_of_shape_1_is_refused():
+    cfg = ZoEstimatorConfig(q=3, s2=2, mu=0.1, d=2)
+    with pytest.raises(ValueError):
+        zo_gradient(lambda th: np.array([1.0]), np.zeros(2), cfg,
+                    spawn_stream(21, "directions"))
+
+
+def test_non_finite_probe_raised_after_all_calls_in_order():
+    cfg = ZoEstimatorConfig(q=5, s2=3, mu=0.1, d=3)
+    theta = np.array([0.5, -1.0, 2.0])
+    directions = sample_directions(3, 3, 5, spawn_stream(22, "directions"))
+    for bad in range(5):
+        seen = []
+
+        def f(th):
+            seen.append(th.copy())
+            return float("nan") if len(seen) == bad + 2 else 1.0
+
+        with pytest.raises(NonFiniteValueError) as exc:
+            zo_gradient(f, theta, cfg, None, directions=directions)
+        assert len(seen) == cfg.q + 1
+        assert seen[0].tobytes() == theta.tobytes()
+        points = 0.1 * directions + theta
+        for row, point in zip(seen[1:], points):
+            assert row.tobytes() == point.tobytes()
+        assert exc.value.point.tobytes() == seen[bad + 1].tobytes()
+        assert np.isnan(exc.value.value)
+
+    # A non-finite base value is reported, at theta, after the q probes too.
+    seen = []
+
+    def g(th):
+        seen.append(th.copy())
+        return np.float32("inf") if len(seen) == 1 else float("nan")
+
+    with pytest.raises(NonFiniteValueError) as exc:
+        zo_gradient(g, theta, cfg, None, directions=directions)
+    assert len(seen) == cfg.q + 1
+    assert exc.value.point.tobytes() == theta.tobytes()
+    assert type(exc.value.value) is np.float32
+
+
 def test_full_gradient_reduces_to_single_for_n_1():
     problem = ridge_synthetic(1, 4, 0.1, spawn_stream(14, "data-gen"), standardize=False)
     cfg = ZoEstimatorConfig(q=6, s2=4, mu=1e-4, d=4)
