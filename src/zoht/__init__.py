@@ -20,7 +20,6 @@ from .theory import (
     epsilon_constants,
     pm_eta_interval,
     sarah_eta_interval,
-    system_error_terms,
     szoht_conditions,
     vrszht_eta_interval,
 )

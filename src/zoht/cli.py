@@ -42,11 +42,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _seed(text):
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError("seed must be >= 0, got %d" % seed)
-    return seed
+def _int_at_least(least, name):
+    """argparse type of an integer flag that refuses values below ``least``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError as exc:  # int() names the token
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if value < least:
+            raise argparse.ArgumentTypeError("%s must be >= %d, got %d" % (name, least, value))
+        return value
+    return parse
 
 
 def _algo(token):
@@ -63,7 +69,7 @@ def _comma_list(convert, key=None):
         for token in filter(None, map(str.strip, text.split(","))):
             try:
                 value = convert(token)
-            except ValueError as exc:  # float() and int() name the token
+            except ValueError as exc:  # float() names the token
                 raise argparse.ArgumentTypeError(str(exc)) from None
             name = value if key is None else key(value)
             if name in seen:
@@ -84,14 +90,14 @@ def _add_run_options(sub, k, q, mu, m, budget, eta_grid):
     sub.add_argument("--m", type=int, default=m,
                      help="default: floor(n/2)" if m is None else None)
     sub.add_argument("--budget", type=int, default=budget)
-    sub.add_argument("--seeds", type=_comma_list(_seed), default=[1, 2, 3])
+    sub.add_argument("--seeds", type=_comma_list(_int_at_least(0, "seed")), default=[1, 2, 3])
     sub.add_argument("--eta-grid", type=_comma_list(float), default=eta_grid)
     sub.add_argument("--algos", type=_comma_list(_algo, ALGO_TOKENS.get),
                      default=DEFAULT_ALGOS)
     sub.add_argument("--p", type=int, default=1, help="memory update rate")
     sub.add_argument("--law", choices=UPDATE_LAWS, default=LAW_P_SAGA)
     sub.add_argument("--select", choices=["final", "min"], default="final")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=_int_at_least(1, "workers"), default=1)
     sub.add_argument("--svg", action="store_true", help="also emit SVG charts")
     sub.add_argument("--out", required=True, help="output directory")
 
@@ -104,7 +110,7 @@ def build_parser():
     rs.add_argument("--n", type=int, default=10)
     rs.add_argument("--d", type=int, default=5)
     rs.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    rs.add_argument("--data-seed", type=_seed, default=0)
+    rs.add_argument("--data-seed", type=_int_at_least(0, "seed"), default=0)
     _add_run_options(rs, 3, 200, 1e-4, 10, 80_000, DEFAULT_ETA_GRID)
 
     rc = subs.add_parser("ridge-csv", help="ridge benchmark on a CSV dataset")
@@ -117,7 +123,7 @@ def build_parser():
     at.add_argument("--n", type=int, default=4)
     at.add_argument("--d", type=int, default=48)
     at.add_argument("--classes", type=int, default=10)
-    at.add_argument("--data-seed", type=_seed, default=0)
+    at.add_argument("--data-seed", type=_int_at_least(0, "seed"), default=0)
     _add_run_options(at, 6, 10, 1e-3, 10, 600, ATTACK_ETA_GRID)
 
     ct = subs.add_parser("check-theory", help="print closed-form constants")

@@ -1,9 +1,9 @@
-"""Shared numeric plumbing: dense-vector helpers, seeded RNG streams,
-and the black-box finite-sum oracle.
+"""Shared numeric plumbing: seeded RNG streams, the nonzero count, and
+the black-box finite-sum oracle.
 
-Vectors are plain 1-D float64 numpy arrays throughout. Support / nnz use
-exact ``|v_i| > 0`` (hard thresholding produces exact zeros, so the
-sparsity constraint stays exactly checkable).
+Vectors are plain 1-D float64 numpy arrays. ``nnz`` counts exact
+``|v_i| > 0`` (hard thresholding produces exact zeros, so the sparsity
+constraint stays exactly checkable).
 """
 
 import numpy as np
@@ -42,21 +42,8 @@ def random_subset(rng, n, m):
     return idx
 
 
-# -- dense-vector helpers ---------------------------------------------------
-# add/sub/scale/dot are numpy's own operators (mismatched 1-D lengths
-# raise ValueError natively); only the support-aware pieces live here.
-
-def support(v):
-    """Indices with exactly nonzero entries, strictly increasing."""
-    return np.flatnonzero(v)
-
-
 def nnz(v):
     return int(np.count_nonzero(v))
-
-
-def norm_inf(v):
-    return float(np.max(np.abs(v))) if v.size else 0.0
 
 
 class FunctionOracle:
@@ -65,9 +52,9 @@ class FunctionOracle:
 
     Subclasses implement ``component`` and set ``n`` and, when known, the
     dimension ``d`` (``run_solver`` rejects a config of another d); they
-    may also provide ``component_gradient`` (used by first-order baselines
-    and test stubs) and set ``minimizer`` when a ground-truth parameter is
-    known.
+    may also provide ``component_gradient`` (read only by
+    ``vr.ExactComponentEstimator``) and set ``minimizer`` when a
+    ground-truth parameter is known (read only by tests).
 
     No method here charges IZO: ``vr.ZoComponentEstimator`` charges each
     estimate it makes, and direct calls are the uncounted handle used
@@ -92,7 +79,7 @@ class FunctionOracle:
 
     n = None          # component count, set by subclass
     d = None          # dimension, set by subclass when known
-    minimizer = None  # optional known parameter for diagnostics
+    minimizer = None  # optional known parameter, for tests
 
     def component(self, i, theta):
         raise NotImplementedError
@@ -112,6 +99,3 @@ class FunctionOracle:
         for i in range(1, self.n):
             g += self.component_gradient(i, theta)
         return g / self.n
-
-    def has_exact_gradients(self):
-        return type(self).component_gradient is not FunctionOracle.component_gradient

@@ -153,8 +153,11 @@ def run_experiment(spec, workers=1):
     """Execute every (algorithm, eta, seed) cell, pick each algorithm's
     best eta (ties to the smaller eta), and aggregate mean +- std curves
     on common IZO and NHT grids. Divergent cells are kept, flagged, and
-    excluded from selection only if every seed diverged. A budget too small
-    for any cell's first step is refused before the first cell runs."""
+    excluded from selection only if every seed diverged. workers < 1, or a
+    budget too small for any cell's first step, is refused before the first
+    cell runs."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1, got %r" % (workers,))
     cells = [
         (token, eta, seed)
         for token in spec.algorithms

@@ -9,8 +9,8 @@ from .core import nnz
 
 
 def hard_threshold(v, k):
-    """Top-k magnitude projection, as a new array; ``support`` of the
-    result is the kept index set.
+    """Top-k magnitude projection, as a new array: the k largest-magnitude
+    entries of v, every other entry zero.
 
     Ties at the k-th magnitude keep the lower index (stable order on
     descending |v_i|), so the result is deterministic. k = 0 yields the

@@ -16,7 +16,7 @@ class RidgeProblem(FunctionOracle):
     """f_i(theta) = (x_i . theta - y_i)^2 + (lam/2) ||theta||^2.
 
     Exact per-component gradients 2 (x_i . theta - y_i) x_i + lam * theta
-    are exposed for first-order baselines and test stubs.
+    are exposed for the exact twin ``vr.ExactComponentEstimator``.
 
     The data are fixed at construction: X and y are read-only copies,
     and ``_y`` and ``_half_lam`` cache y and lam / 2 as Python floats.

@@ -2,7 +2,7 @@
 family: the hard-thresholding expansivity factor, the second-moment
 envelope constants of the sparse-direction estimator, the plain-solver
 (k, q) restrictions, learning-rate intervals for each variance-reduced
-solver, query-complexity estimates, and numeric system-error diagnostics.
+solver, and query-complexity estimates.
 
 Every function is a direct evaluation of a published closed form; nothing
 here runs an optimizer. One transcription note: the epsilon constant for
@@ -14,11 +14,6 @@ or not the run used the constant.
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from .core import norm_inf, support
-from .ht import hard_threshold
 
 EPS_IC_TYPO_NOTE = "eps_Ic uses (d-1) denominator (misprint correction)"
 
@@ -223,7 +218,6 @@ def sarah_eta_interval(tp, eps_I=None):
 def complexity_estimate(tp, target_eps):
     """(zo_queries, ht_ops) with unit constants:
     zo = (n + kappa^3/(kappa^2 + 1)) * log(1/eps), ht = log(1/eps).
-    For plot overlays and reports only.
     """
     if not 0 < target_eps <= 1:
         raise ValueError("target_eps must lie in (0, 1]")
@@ -231,79 +225,3 @@ def complexity_estimate(tp, target_eps):
     kappa = tp.kappa
     zo_queries = (tp.n + kappa ** 3 / (kappa ** 2 + 1.0)) * log_factor
     return zo_queries, log_factor
-
-
-def system_error_terms(oracle, tp, theta, eta=None):
-    """Numeric evaluation of the non-vanishing error terms of the
-    convergence bounds at a given iterate, each addend labeled.
-
-    Requires an oracle with a known minimizer and exact component
-    gradients (synthetic problems). The restricted index set is the union
-    of the top-2k-magnitude support of the mean gradient at the
-    minimizer, the minimizer's support, and theta's support. The
-    memory-decay sum is closed at its stationary limit (geometric sum
-    -> n/p); p defaults to n and eta to the snapshot-solver
-    recommendation when unset.
-    """
-    if oracle.minimizer is None:
-        raise ValueError("oracle must expose a known minimizer")
-    if not oracle.has_exact_gradients():
-        raise ValueError("oracle must expose exact component gradients")
-    theta = np.asarray(theta, dtype=np.float64)
-    theta_star = np.asarray(oracle.minimizer, dtype=np.float64)
-    eps = epsilon_constants(tp)
-    a = alpha(tp.k, tp.kstar)
-    if eta is None:
-        _, eta = vrszht_eta_interval(tp, eps.eps_I)
-    p = tp.p if tp.p is not None else tp.n
-
-    grad_star = oracle.mean_gradient(theta_star)
-    support_set = np.union1d(
-        np.union1d(support(hard_threshold(grad_star, min(2 * tp.k, tp.d))),
-                   support(theta_star)),
-        support(theta),
-    )
-    mask = np.zeros(tp.d, dtype=bool)
-    mask[support_set.astype(np.intp)] = True
-
-    comp_on = comp_off = comp_inf_sq = 0.0
-    for i in range(oracle.n):
-        g_theta = oracle.component_gradient(i, theta)
-        g_star = oracle.component_gradient(i, theta_star)
-        comp_on += float(np.sum(g_theta[mask] ** 2))
-        comp_off += float(np.sum(g_theta[~mask] ** 2))
-        comp_inf_sq += norm_inf(g_star) ** 2
-    comp_on /= oracle.n
-    comp_off /= oracle.n
-    comp_inf_sq /= oracle.n
-
-    mu2 = tp.mu ** 2
-    stationary_memory = (2.0 / p) * (
-        (eps.eps_I + 1.0) * comp_on + eps.eps_Ic * comp_off + eps.eps_abs * mu2
-    )
-    report = {
-        "mu_full_gradient_bias": a * tp.n ** 2 * eps.eps_mu * mu2 / tp.rho_minus ** 2,
-        "mu_absolute": 6.0 * a * eps.eps_abs * mu2,
-        # stationary memory decay keeps gradient terms even at mu = 0
-        "memory_decay_stationary": 6.0 * eta ** 2 * a * stationary_memory,
-        "target_gradient_linf": math.sqrt(tp.s)
-        * norm_inf(grad_star)
-        * float(np.linalg.norm(theta - theta_star)),
-        "target_component_grads": eta ** 2
-        * 3.0
-        * a
-        * ((4.0 * eps.eps_I * tp.s + 2.0) + eps.eps_Ic * (tp.d - tp.k))
-        * comp_inf_sq,
-    }
-    if tp.m is not None:
-        beta = (1.0 + eta ** 2 * tp.rho_minus ** 2) * a
-        if beta == 1.0:
-            geo = float(tp.m)
-        else:
-            geo = (beta ** tp.m - 1.0) / (beta - 1.0)
-        report["snapshot_epoch_mu"] = geo * a * (
-            72.0 * eta ** 2 * eps.eps_abs * mu2
-            + tp.n ** 2 * eps.eps_mu * mu2 / tp.rho_minus ** 2
-        )
-    report["eta_used"] = eta
-    return report

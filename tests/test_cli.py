@@ -47,6 +47,10 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     ("--algos", "vr,vr-szht", "entries 'vr' and 'vr-szht' both name vr-szht"),
     ("--eta-grid", "0.1,0.1", "entries '0.1' and '0.1' both name 0.1"),
     ("--eta-grid", "0.1,x", "could not convert string to float: 'x'"),
+    ("--seeds", "1,x", "invalid literal for int() with base 10: 'x'"),
+    ("--data-seed", "x", "invalid literal for int() with base 10: 'x'"),
+    ("--workers", "-2", "workers must be >= 1, got -2"),
+    ("--workers", "0", "workers must be >= 1, got 0"),
 ])
 def test_bad_list_entry_is_a_usage_error(tmp_path, capsys, flag, value, message):
     with pytest.raises(SystemExit) as exc:

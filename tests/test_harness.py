@@ -98,6 +98,8 @@ def test_bad_p_or_law_fails_before_first_cell(monkeypatch):
     # seed 1 comes first, so a late check would run its cells
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         run_experiment(_tiny_spec(algorithms=algos, m=2, seeds=[1, -1]))
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        run_experiment(_tiny_spec(algorithms=algos, m=2), workers=0)
     assert calls == []
     _tiny_spec(algorithms=["szoht"], p=6)  # p is only checked for pm-szht
 

@@ -49,6 +49,12 @@ def test_sparse_kstar_forces_sparsity():
     assert problem.mean_value(problem.minimizer) == pytest.approx(0.0, abs=1e-24)
 
 
+def test_standardized_instance_has_no_minimizer():
+    # the generating model fits the raw columns, not the standardized ones
+    problem = ridge_synthetic(10, 5, 0.0, spawn_stream(0, "data-gen"))
+    assert problem.minimizer is None
+
+
 def test_gradient_matches_central_differences():
     problem = ridge_synthetic(12, 5, 0.3, spawn_stream(4, "data-gen"))
     rng = spawn_stream(5, "data-gen")

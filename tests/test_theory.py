@@ -13,7 +13,6 @@ from zoht.theory import (
     epsilon_constants,
     pm_eta_interval,
     sarah_eta_interval,
-    system_error_terms,
     szoht_conditions,
     vrszht_eta_interval,
 )
@@ -215,71 +214,6 @@ def test_complexity_estimate():
     assert abs(ratio - 1.0) <= 1e-3
     with pytest.raises(ValueError):
         complexity_estimate(tp, 1.5)
-
-
-def test_system_error_terms_vanishing_cases():
-    # lambda=0 consistent ridge: the minimizer kills every target-gradient
-    # term exactly
-    problem = ridge_synthetic(
-        8, 5, 0.0, spawn_stream(0, "data-gen"), sparse_kstar=2, standardize=False
-    )
-    tp = _tp(n=8, kstar=2, p=2, m=4)
-    report = system_error_terms(problem, tp, np.zeros(5), eta=0.01)
-    assert report["target_gradient_linf"] == 0.0
-    assert report["target_component_grads"] == 0.0
-    assert report["mu_full_gradient_bias"] > 0.0
-    # mu = 0 kills every smoothing term exactly
-    report0 = system_error_terms(problem, _tp(n=8, kstar=2, p=2, m=4, mu=0.0),
-                                 np.zeros(5), eta=0.01)
-    assert report0["mu_full_gradient_bias"] == 0.0
-    assert report0["mu_absolute"] == 0.0
-    assert report0["snapshot_epoch_mu"] == 0.0
-
-
-def test_system_error_terms_positive_and_cross_checked():
-    problem = ridge_synthetic(8, 5, 0.4, spawn_stream(1, "data-gen"))
-    problem.minimizer = np.zeros(5)  # l0-target stand-in: not a stationary point
-    theta = np.array([0.2, -0.1, 0.3, 0.0, 0.1])
-    tp = _tp(n=8, kstar=1, p=2)
-    eta = 0.05
-    report = system_error_terms(problem, tp, theta, eta=eta)
-    assert report["target_gradient_linf"] > 0.0
-    assert report["target_component_grads"] > 0.0
-    # independent re-evaluation of the infinity-norm term
-    eps = epsilon_constants(tp)
-    a = alpha(tp.k, tp.kstar)
-    grad_star = problem.mean_gradient(problem.minimizer)
-    expected_inf = (
-        math.sqrt(tp.s)
-        * float(np.max(np.abs(grad_star)))
-        * float(np.linalg.norm(theta - problem.minimizer))
-    )
-    assert report["target_gradient_linf"] == pytest.approx(expected_inf, rel=1e-12)
-    comp_inf = np.mean(
-        [
-            float(np.max(np.abs(problem.component_gradient(i, problem.minimizer)))) ** 2
-            for i in range(problem.n)
-        ]
-    )
-    expected_comp = (
-        eta ** 2 * 3.0 * a
-        * ((4.0 * eps.eps_I * tp.s + 2.0) + eps.eps_Ic * (tp.d - tp.k))
-        * comp_inf
-    )
-    assert report["target_component_grads"] == pytest.approx(expected_comp, rel=1e-12)
-
-
-def test_system_error_requires_minimizer():
-    from zoht.problems import RidgeProblem
-
-    base = ridge_synthetic(4, 3, 0.1, spawn_stream(2, "data-gen"))
-    bare = RidgeProblem(base.X, base.y, base.lam)  # no known minimizer
-    # standardized (the default): the generating model fits the raw columns
-    standardized = ridge_synthetic(10, 5, 0.0, spawn_stream(0, "data-gen"))
-    for problem in (bare, standardized):
-        tp = _tp(n=problem.n, d=problem.d, s2=problem.d, k=2)
-        with pytest.raises(ValueError, match="known minimizer"):
-            system_error_terms(problem, tp, np.zeros(problem.d))
 
 
 def test_ridge_rho_bounds_proxy():
