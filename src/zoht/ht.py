@@ -9,22 +9,37 @@ from .core import nnz
 
 
 def hard_threshold(v, k):
-    """Top-k magnitude projection, as a new array: the k largest-magnitude
-    entries of v, every other entry zero.
+    """Top-k magnitude projection, as a new array in v's dtype: the k
+    largest-magnitude entries of v, every other entry zero.
 
-    Ties at the k-th magnitude keep the lower index (stable order on
-    descending |v_i|), so the result is deterministic. k = 0 yields the
-    zero vector. Pure: the caller counts NHT (``solvers._Run.descend``).
+    Ranking is the stable order of the keys -|v|: descending magnitude,
+    nan below every number, ties to the lower index. Zeros are never
+    kept, so a -0.0 among the top k comes out as +0.0; k = 0 yields the
+    zero vector. One partition finds the k-th key, one comparison keeps
+    the keys at or below it, and surplus ties at it go from the highest
+    index down; with fewer than k numbers it sorts all keys instead.
+    Pure: the caller counts NHT (``solvers._Run.descend``).
     """
     d = v.shape[0]
     if not 0 <= k <= d:
         raise ValueError("sparsity k=%d out of range for d=%d" % (k, d))
-    # The array methods give the results of the np.zeros_like / np.argsort
-    # wrappers without their per-call overhead.
+    # The array methods give the results of the np.partition / np.flatnonzero
+    # / np.argsort wrappers without their per-call overhead.
     out = np.zeros(d, v.dtype)
-    keep = (-np.abs(v)).argsort(kind="stable")[:k]
-    # Zeros are not kept, so a -0.0 among the top k comes out as +0.0.
-    keep = keep[v[keep] != 0.0]
+    if not k:
+        return out
+    keys = -np.abs(v)
+    part = keys.copy()
+    part.partition(k - 1)
+    kth = part[k - 1]
+    if kth != kth:  # a nan key: fewer than k numbers
+        keep = keys.argsort(kind="stable")[:k]
+        keep = keep[v[keep] != 0]
+    else:
+        keep = (keys <= kth if kth else keys < kth).nonzero()[0]  # zeros never kept
+        surplus = keep.shape[0] - k
+        if surplus > 0:
+            keep = np.delete(keep, (keys[keep] == kth).nonzero()[0][-surplus:])
     out[keep] = v[keep]
     return out
 

@@ -30,7 +30,7 @@ class RidgeProblem(FunctionOracle):
         if X.ndim != 2 or X.shape[0] < 1 or y.shape != (X.shape[0],):
             raise ValueError("X must be (n, d) with n >= 1 and y must be (n,)")
         if lam < 0:
-            raise ValueError("lambda must be >= 0")
+            raise ValueError("lambda must be >= 0, got lambda=%s" % lam)
         X.flags.writeable = False
         y.flags.writeable = False
         self.X = X
@@ -106,7 +106,7 @@ def ridge_synthetic(n, d, lam, rng, sparse_kstar=None, standardize=True):
     instances carry none, since it fits the raw columns, not theirs.
     """
     if n < 1 or d < 1:
-        raise ValueError("need n, d >= 1")
+        raise ValueError("need n, d >= 1, got n=%s d=%s" % (n, d))
     directions = rng.standard_normal((n, d))
     directions /= np.linalg.norm(directions, axis=1)[:, None]
     radii = rng.uniform(size=n) ** (1.0 / d)
@@ -114,7 +114,7 @@ def ridge_synthetic(n, d, lam, rng, sparse_kstar=None, standardize=True):
     theta_star = rng.standard_normal(d)
     if sparse_kstar is not None:
         if not 0 <= sparse_kstar <= d:
-            raise ValueError("sparse_kstar out of range")
+            raise ValueError("sparse_kstar out of range, got %s for d=%s" % (sparse_kstar, d))
         keep = rng.choice(d, size=sparse_kstar, replace=False)
         sparse = np.zeros(d)
         sparse[keep] = theta_star[keep]

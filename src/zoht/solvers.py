@@ -71,11 +71,11 @@ class SolverConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm %r" % self.algorithm)
         if not self.eta >= 0:
-            raise ValueError("eta must be >= 0")
+            raise ValueError("eta must be >= 0, got eta=%s" % self.eta)
         if not 0 <= self.k <= self.zo.d:
-            raise ValueError("need 0 <= k <= d")
+            raise ValueError("need 0 <= k <= d, got k=%s d=%s" % (self.k, self.zo.d))
         if self.algorithm in ("vr-szht", "sarah-szht") and (self.m is None or self.m < 1):
-            raise ValueError("%s needs m >= 1" % self.algorithm)
+            raise ValueError("%s needs m >= 1, got m=%s" % (self.algorithm, self.m))
         if self.algorithm == "pm-szht" and self.p is None:
             raise ValueError("pm-szht needs the memory update rate p")
         if self.law not in UPDATE_LAWS:

@@ -2,10 +2,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from zoht.cli import main
+from zoht.core import spawn_stream
+from zoht.problems import RidgeProblem, ridge_synthetic
+from zoht.solvers import SolverConfig
 from zoht.theory import TheoryParams, alpha, epsilon_constants, vrszht_eta_interval
+from zoht.zo import ZoEstimatorConfig
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -59,6 +64,43 @@ def test_bad_list_entry_is_a_usage_error(tmp_path, capsys, flag, value, message)
     err = capsys.readouterr().err
     assert "error: argument %s: %s\n" % (flag, message) in err
     assert not (tmp_path / "out").exists()
+
+
+_THEORY_ARGV = ["check-theory", "--d", "5", "--n", "10", "--q", "200", "--s2", "5",
+                "--rho-plus", "2.0", "--rho-minus", "0.5", "--mu", "1e-4"]
+
+
+def _solver_config(algorithm="szoht", eta=0.01, k=3, m=10):
+    zo = ZoEstimatorConfig(q=200, s2=5, mu=1e-4, d=5)
+    return SolverConfig(algorithm=algorithm, eta=eta, k=k, zo=zo, izo_budget=3000,
+                        seed=1, m=m)
+
+
+@pytest.mark.parametrize("argv, refuse, message", [
+    (["ridge-synthetic", "--k", "9"], lambda: _solver_config(k=9),
+     "need 0 <= k <= d, got k=9 d=5"),
+    (["ridge-synthetic", "--eta-grid", "nan"], lambda: _solver_config(eta=float("nan")),
+     "eta must be >= 0, got eta=nan"),
+    (["ridge-synthetic", "--algos", "vr", "--m", "0"],
+     lambda: _solver_config(algorithm="vr-szht", m=0), "vr-szht needs m >= 1, got m=0"),
+    (["ridge-synthetic", "--n", "0"],
+     lambda: ridge_synthetic(0, 5, 0.5, spawn_stream(0, "data-gen")),
+     "need n, d >= 1, got n=0 d=5"),
+    (["ridge-synthetic", "--lambda", "-1"], lambda: RidgeProblem(np.eye(2), np.ones(2), -1.0),
+     "lambda must be >= 0, got lambda=-1.0"),
+    (_THEORY_ARGV + ["--kstar", "4", "--k", "3"],
+     lambda: TheoryParams(d=5, n=10, q=200, s2=5, k=3, kstar=4, rho_minus=0.5,
+                          rho_plus=2.0, mu=1e-4),
+     "need k >= kstar >= 0, got k=3 kstar=4"),
+], ids=["k", "eta", "m", "n", "lambda", "kstar"])
+def test_refusal_names_the_value_it_got(tmp_path, capsys, argv, refuse, message):
+    with pytest.raises(ValueError) as exc:
+        refuse()
+    assert str(exc.value) == message
+    if argv[0] != "check-theory":
+        argv = argv + ["--budget", "3000", "--seeds", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

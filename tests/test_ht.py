@@ -131,22 +131,47 @@ def test_expansivity_preconditions():
 
 
 def _hard_threshold_reference(v, k):
-    out = np.zeros_like(v)
-    keep = np.argsort(-np.abs(v), kind="stable")[:k]
+    """The stable-sort formula hard_threshold used before its partition
+    selection: the first k of the stable order of -|v|, zeros dropped."""
+    out = np.zeros(v.shape[0], v.dtype)
+    keep = (-np.abs(v)).argsort(kind="stable")[:k]
     keep = keep[v[keep] != 0.0]
     out[keep] = v[keep]
     return out
 
 
-def test_bits_match_reference_with_ties_signed_zeros_and_nan():
-    rng = spawn_stream(21, "data-gen")
-    for dtype in (np.float64, np.float32):
-        for _ in range(1000):
-            d = int(rng.integers(1, 60))
-            k = int(rng.integers(0, d + 1))
+def _threshold_cases(rng, count):
+    """(v, k) cases: d in [1, 1500], k in [0, d]; ties at the k-th
+    magnitude, +-0.0, +-inf and nan (a few, more than d - k, all), in
+    float64, float32 and int64."""
+    for i in range(count):
+        d = int(rng.integers(1, 1501 if i % 10 == 0 else 60))
+        k = int(rng.integers(0, d + 1))
+        kind = i % 7
+        if kind == 0:
+            v = rng.standard_normal(d)
+        elif kind == 1:
+            v = np.round(rng.standard_normal(d), 1)  # ties, +-0
+        else:
             v = rng.integers(-3, 4, d) * rng.choice([1.0, -1.0], d)  # ties, +-0
+        if kind == 3:
+            v[rng.random(d) < 0.2] = rng.choice([np.inf, -np.inf])
+        elif kind == 4:
             v[rng.random(d) < 0.1] = np.nan
-            v = v.astype(dtype)
-            got = hard_threshold(v, k)
-            assert got.dtype == dtype
-            assert got.tobytes() == _hard_threshold_reference(v, k).tobytes()
+        elif kind == 5:
+            v[rng.permutation(d)[: d - k + 1 if k else d]] = np.nan
+        elif kind == 6:
+            v[:] = np.nan
+        for dtype in (np.float64, np.float32, np.int64)[: 3 if kind == 2 else 2]:
+            yield v.astype(dtype), k
+
+
+def test_bits_match_reference_with_ties_signed_zeros_and_nan():
+    cases = 0
+    for v, k in _threshold_cases(spawn_stream(21, "data-gen"), 10_000):
+        got = hard_threshold(v, k)
+        want = _hard_threshold_reference(v, k)
+        assert got.dtype == v.dtype
+        assert got.tobytes() == want.tobytes(), (v, k)
+        cases += 1
+    assert cases >= 20_000
