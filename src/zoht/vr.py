@@ -17,6 +17,10 @@ import numpy as np
 from .core import random_subset
 from .zo import zo_gradient, sample_directions
 
+# Direction entries (rows times s2) per sample_directions call of
+# ZoComponentEstimator: as many whole estimates as fit, and at least one.
+_BLOCK_ENTRIES = 2 ** 14
+
 LAW_P_SAGA = "p-saga"
 LAW_SVRG_VARIANT = "svrg-variant"
 UPDATE_LAWS = (LAW_P_SAGA, LAW_SVRG_VARIANT)
@@ -24,7 +28,17 @@ UPDATE_LAWS = (LAW_P_SAGA, LAW_SVRG_VARIANT)
 
 class ZoComponentEstimator:
     """Zeroth-order per-component gradient source; ``izo`` tallies its
-    cost: q + 1 per single estimate, 2(q + 1) per coupled pair."""
+    cost: q + 1 per single estimate, 2(q + 1) per coupled pair.
+
+    Each estimate, and each shared-direction pair, takes the next q rows
+    of a block that one ``sample_directions(d, s2, B*q, rng)`` call draws,
+    B = max(1, _BLOCK_ENTRIES // (q*s2)), so numpy's fixed cost per call is
+    paid once per block. A block holds at most max(2**14, q*s2) entries;
+    one block per full pass (B = n) would hold 1.6 GB at n = 10**4,
+    q = 200, d = 100. For s2 = d the rows are the per-estimate draws byte
+    for byte; for s2 < d they are a new sequence (see the draw order of
+    ``sample_directions``). The stream ends at the end of the last block.
+    """
 
     def __init__(self, oracle, cfg, rng, shared_directions=False):
         if getattr(oracle, "d", None) not in (None, cfg.d):
@@ -34,9 +48,28 @@ class ZoComponentEstimator:
         self.rng = rng
         self.shared_directions = shared_directions
         self.izo = 0
+        self._block_rows = max(1, _BLOCK_ENTRIES // (cfg.q * cfg.s2)) * cfg.q
+        self._block = None
+        self._next = self._block_rows  # first unused row; the block starts spent
+
+    def _directions(self):
+        """The next q directions of the block, in sample_directions' form;
+        a spent block is first replaced by a fresh one."""
+        start = self._next
+        if start == self._block_rows:
+            cfg = self.cfg
+            self._block = sample_directions(cfg.d, cfg.s2, self._block_rows, self.rng)
+            start = 0
+        stop = self._next = start + self.cfg.q
+        block = self._block
+        if isinstance(block, tuple):
+            return block[0][start:stop], block[1][start:stop]
+        return block[start:stop]
 
     def estimate(self, i, theta, directions=None):
         self.izo += self.cfg.izo_per_estimate
+        if directions is None:
+            directions = self._directions()
         f = partial(self.oracle.component, i)
         return zo_gradient(f, theta, self.cfg, self.rng, directions)
 
@@ -44,9 +77,7 @@ class ZoComponentEstimator:
         """Estimates of grad f_i at two points. Directions are independent
         draws by default; with shared_directions the same direction set is
         reused, so identical points cancel exactly."""
-        dirs = None
-        if self.shared_directions:
-            dirs = sample_directions(self.cfg.d, self.cfg.s2, self.cfg.q, self.rng)
+        dirs = self._directions() if self.shared_directions else None
         return self.estimate(i, theta_a, dirs), self.estimate(i, theta_b, dirs)
 
     def full(self, theta):

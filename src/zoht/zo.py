@@ -12,6 +12,10 @@ Directions come in two forms. For s2 = d they are the rows of a dense
 ``(values, support)`` of (q, s2) arrays, row i holding the nonzero
 coordinates of u_i and their indices. The probe points are built by
 scattering into copies of theta, and the sum over i is one ``bincount``.
+
+Solvers do not draw per estimate: ``vr.ZoComponentEstimator`` draws the
+directions of many estimates with one ``sample_directions`` call (up to
+2**14 entries, see its docstring) and hands each estimate the next q rows.
 """
 
 import math
@@ -67,7 +71,11 @@ def sample_directions(d, s2, q, rng):
     Draw order: the (q, s2) normal values, then, when s2 < d, the supports
     (see ``_sample_supports``): one (q, s2) integer draw followed by
     redraws of the repeated entries only, or one (q, d) draw of uniform
-    keys when the supports are dense.
+    keys when the supports are dense. So for s2 = d, one call for q = b*r
+    rows returns the rows of b consecutive calls for r rows, byte for byte,
+    and leaves the stream where they would (unless a row has zero norm:
+    its redraw follows all q rows, not its own r). For s2 < d it does not:
+    the values of all q rows come before any of their supports.
     """
     if not 1 <= s2 <= d:
         raise ValueError("need 1 <= s2 <= d, got s2=%d d=%d" % (s2, d))
@@ -91,24 +99,34 @@ def _sample_supports(d, s2, q, rng):
         # Dense supports: the s2 smallest of d i.i.d. uniform keys.
         return np.argpartition(rng.random((q, d)), s2 - 1, axis=1)[:, :s2]
     # Sparse supports: i.i.d. indices, sorted per row; every entry equal to
-    # its left neighbour is redrawn, and the rows are sorted again, until
+    # its left neighbour is redrawn, and those rows are sorted again, until
     # no row repeats an index. Each round keeps a row's distinct indices
     # and adds fresh uniform draws, a rule that commutes with relabelling
     # the coordinates, so the final subset is uniform. A row of s2 draws
     # repeats with probability about 1 - exp(-s2(s2-1)/(2d)), at most
     # 1 - 1/e on this branch.
+    # Rows without repeats drop out of later rounds. Sorting them again would
+    # not move them, and the redraws fill the repeated entries in row-major
+    # order either way, so the bits are those of a loop over every row.
     idx = np.sort(rng.integers(0, d, size=(q, s2)), axis=1)
+    rows, live = np.arange(q), idx
     while True:
-        repeated = idx[:, 1:] == idx[:, :-1]
+        repeated = live[:, 1:] == live[:, :-1]
         count = np.count_nonzero(repeated)
         if not count:
             return idx
-        idx[:, 1:][repeated] = rng.integers(0, d, size=count)
-        idx.sort(axis=1)
+        again = repeated.any(axis=1).nonzero()[0]
+        rows, live, repeated = rows[again], live[again], repeated[again]
+        live[:, 1:][repeated] = rng.integers(0, d, size=count)
+        live.sort(axis=1)
+        idx[rows] = live
 
 
 def _check_mu(cfg, theta):
-    floor = MU_FLOOR_SCALE * (1.0 + float(np.abs(theta).max()))
+    scale = float(np.abs(theta).max())
+    if not math.isfinite(scale):
+        raise ValueError("theta is not finite: max |theta_j| = %r" % scale)
+    floor = MU_FLOOR_SCALE * (1.0 + scale)
     if cfg.mu < floor:
         raise ValueError(
             "smoothing radius mu=%g is below the numeric floor %g" % (cfg.mu, floor)

@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+import zoht.vr
 from zoht.core import nnz, spawn_stream
 from zoht.problems import ridge_synthetic
 from zoht.vr import ZoComponentEstimator
 from zoht.zo import (
     NonFiniteValueError,
     ZoEstimatorConfig,
+    _sample_supports,
     sample_directions,
     zo_gradient,
 )
@@ -76,6 +78,50 @@ def test_sparse_directions_uniform_support_and_isotropic(d, s2):
     assert np.all(np.abs(counts - draws * p) <= tol)
     second = u.T @ u / draws
     assert np.max(np.abs(second - np.eye(d) / d)) < 0.02
+
+
+def _sample_supports_reference(d, s2, q, rng):
+    """The redraw loop that re-sorts and re-checks every row each round;
+    returns the supports and the number of redraw rounds."""
+    idx = np.sort(rng.integers(0, d, size=(q, s2)), axis=1)
+    rounds = 0
+    while True:
+        repeated = idx[:, 1:] == idx[:, :-1]
+        count = np.count_nonzero(repeated)
+        if not count:
+            return idx, rounds
+        idx[:, 1:][repeated] = rng.integers(0, d, size=count)
+        idx.sort(axis=1)
+        rounds += 1
+
+
+def test_support_redraws_match_reference_loop():
+    # Redrawing only the rows that still repeat must give the bits and the
+    # stream position of the loop over every row, on the integer branch
+    # s2(s2-1) <= 2d: s2 = 1, the boundary s2(s2-1) = 2d, and q up to 2000,
+    # where some cases take three or more redraw rounds.
+    cases = spawn_stream(30, "data-gen")
+    rounds_seen = []
+    for case in range(10_000):
+        kind = case % 4
+        if kind == 0:  # the boundary: d = s2(s2-1)/2
+            s2 = int(cases.integers(3, 64))
+            d = s2 * (s2 - 1) // 2
+        else:
+            d = int(np.exp(cases.uniform(0.0, np.log(2000.0))))
+            top = min(d, int((1 + np.sqrt(1 + 8 * d)) / 2))
+            s2 = 1 if kind == 1 else int(cases.integers(1, top + 1))
+        assert s2 * (s2 - 1) <= 2 * d and s2 <= d
+        q = 2000 if case % 500 == 3 else int(cases.integers(1, 40))
+        rng = spawn_stream(case, "directions")
+        ref = spawn_stream(case, "directions")
+        got = _sample_supports(d, s2, q, rng)
+        want, rounds = _sample_supports_reference(d, s2, q, ref)
+        assert got.tobytes() == want.tobytes(), (d, s2, q)
+        assert rng.bit_generator.state == ref.bit_generator.state, (d, s2, q)
+        rounds_seen.append(rounds)
+    assert max(rounds_seen) >= 3
+    assert sum(r >= 3 for r in rounds_seen) >= 10
 
 
 def test_full_support_draw_pinned():
@@ -289,6 +335,17 @@ def test_degenerate_mu_rejected():
     np.testing.assert_array_equal(g, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_theta_refused_before_any_query(bad):
+    cfg = ZoEstimatorConfig(q=3, s2=2, mu=1e-4, d=4)
+    theta = np.array([0.5, bad, 0.0, 1.0])
+    seen = []
+    with pytest.raises(ValueError, match="theta is not finite") as exc:
+        zo_gradient(seen.append, theta, cfg, spawn_stream(12, "directions"))
+    assert not isinstance(exc.value, NonFiniteValueError)
+    assert seen == []
+
+
 def test_non_finite_value_carries_point():
     cfg = ZoEstimatorConfig(q=2, s2=2, mu=0.1, d=2)
     rng = spawn_stream(13, "directions")
@@ -414,6 +471,64 @@ def test_full_gradient_reduces_to_single_for_n_1():
         lambda th: problem.component(0, th), theta, cfg, spawn_stream(15, "directions")
     )
     np.testing.assert_array_equal(full, single)
+
+
+@pytest.mark.parametrize("n, d, s2, q", [
+    (3, 40, 40, 100),    # s2 = d, four estimates per block
+    (2, 300, 300, 60),   # s2 = d, q*d above 2**14: one estimate per block
+    (20, 1000, 20, 50),  # s2 < d, integer supports, 16 estimates per block
+    (10, 50, 20, 30),    # s2 < d, supports from uniform keys
+])
+def test_estimator_takes_directions_from_blocks(monkeypatch, n, d, s2, q):
+    # Every estimate, full pass and shared pair takes the next q rows of a
+    # block of B*q, B = max(1, 2**14 // (q*s2)); for s2 = d the rows are
+    # the per-estimate draws byte for byte.
+    used, blocks = [], []
+    gradient, sampler = zoht.vr.zo_gradient, zoht.vr.sample_directions
+
+    def record_gradient(f, theta, cfg, rng, directions=None):
+        used.append(directions)
+        return gradient(f, theta, cfg, rng, directions)
+
+    def record_sampler(d_, s2_, rows, rng):
+        blocks.append(rows * s2_)
+        return sampler(d_, s2_, rows, rng)
+
+    monkeypatch.setattr(zoht.vr, "zo_gradient", record_gradient)
+    monkeypatch.setattr(zoht.vr, "sample_directions", record_sampler)
+    problem = ridge_synthetic(n, d, 0.5, spawn_stream(31, "data-gen"))
+    cfg = ZoEstimatorConfig(q=q, s2=s2, mu=1e-4, d=d)
+    est = ZoComponentEstimator(problem, cfg, spawn_stream(32, "directions"), True)
+    theta = np.zeros(d)
+    for _ in range(3):
+        est.estimate(1, theta)
+        est.full(theta)
+        est.estimate_pair(0, theta, theta + 1.0)
+    assert est.izo == 3 * (1 + n + 2) * (q + 1)
+
+    # Each round: one estimate, n for the full pass, one shared by the pair.
+    slices = len(used) - 3
+    ref = spawn_stream(32, "directions")
+    if s2 == d:
+        want = [sample_directions(d, d, q, ref) for _ in range(slices)]
+    else:
+        rows = max(1, 2 ** 14 // (q * s2)) * q
+        want = []
+        while len(want) < slices:
+            values, support = sample_directions(d, s2, rows, ref)
+            want += [(values[j:j + q], support[j:j + q]) for j in range(0, rows, q)]
+    def raw(dirs):
+        return b"".join(a.tobytes() for a in (dirs if s2 < d else (dirs,)))
+
+    k = 0
+    for call, dirs in enumerate(used):
+        if call % (n + 3) == n + 2:  # the second estimate of a shared pair
+            assert dirs is used[call - 1]
+            continue
+        assert raw(dirs) == raw(want[k]), call
+        k += 1
+    assert k == slices
+    assert len(blocks) >= 2 and max(blocks) <= max(2 ** 14, q * s2)
 
 
 def test_full_gradient_izo():
