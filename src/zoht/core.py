@@ -72,9 +72,13 @@ class FunctionOracle:
     gives the same values for less (but of equal floats ``max`` keeps the
     first and numpy the last, so a max of -0.0 and 0.0 differs). Sums keep
     ``np.add.reduce``, whose pairwise order the builtin ``sum`` does not
-    follow. Prefer in-place ufuncs over extra temporaries, ``a.dot(b)``
-    to ``a @ b`` on 1-D vectors (the same BLAS call at half the
-    overhead), and Python floats to numpy scalars.
+    follow, but ``math.isfinite(sum(lp))`` is an exact finiteness filter:
+    a finite sum proves every entry finite, and only a non-finite one (nan,
+    inf, or an overflow) needs ``all(map(math.isfinite, lp))``. Prefer
+    in-place ufuncs over extra temporaries, ``a.dot(b)`` to ``a @ b`` on 1-D
+    vectors (the same BLAS call at half the overhead), and Python floats
+    to numpy scalars. ``CwAttackProblem.component`` (d = 48, 10 classes)
+    costs about 7 us a call on a 2-vCPU Xeon VM, mostly such overhead.
     """
 
     n = None          # component count, set by subclass

@@ -8,7 +8,6 @@ reproduces them byte for byte.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,8 +167,10 @@ def run_experiment(spec, workers=1):
     for cfg in configs:
         check_budget(spec.problem.n, cfg)
     if workers > 1:
-        # Fork starts all max_workers processes at the first submit, so ask
-        # for no more than there are cells.
+        # Imported here: a serial run needs no multiprocessing. Fork starts
+        # all max_workers processes at the first submit, so ask for no more
+        # than there are cells.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
             max_workers=min(workers, len(configs)),
             initializer=_init_worker,

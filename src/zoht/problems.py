@@ -172,6 +172,9 @@ def ridge_from_csv(path, target_column, lam):
 # -- black-box attack objective ----------------------------------------------
 
 PIXEL_LO, PIXEL_HI = -0.5, 0.5
+# Read-only 0-d arrays: clipping converts no Python float per call.
+_LO, _HI = np.array(PIXEL_LO), np.array(PIXEL_HI)
+_LO.flags.writeable = _HI.flags.writeable = False
 
 
 class BlackBoxClassifier:
@@ -185,11 +188,13 @@ class BlackBoxClassifier:
 
 
 class LinearSoftmaxClassifier(BlackBoxClassifier):
-    """Fixed random-weight linear scorer with log-softmax outputs."""
+    """Fixed random-weight linear scorer with log-softmax outputs. The
+    weights and bias are read-only copies in the caller's memory layout."""
 
     def __init__(self, weights, bias):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.bias = np.asarray(bias, dtype=np.float64)
+        self.weights = np.array(weights, dtype=np.float64)
+        self.bias = np.array(bias, dtype=np.float64)
+        self.weights.flags.writeable = self.bias.flags.writeable = False
         self.num_classes = self.weights.shape[0]
 
     def log_probs(self, x):
@@ -222,14 +227,17 @@ class CwAttackProblem(FunctionOracle):
     Driving the hinge to zero flips the prediction, so the solvers'
     descent orientation applies directly. Values are always >= 0. The
     images and labels are fixed at construction as read-only copies.
+    ``component`` is the probe path: it clips through ``attacked_image``
+    and computes the hinge itself; ``cw_loss`` delegates to it.
     """
 
     def __init__(self, images, labels, classifier):
         images = np.array(images, dtype=np.float64)
         if images.ndim != 2 or images.shape[0] < 1:
             raise ValueError("images must be (n, d) with n >= 1")
-        if classifier.num_classes < 2:
-            raise ValueError("need num_classes >= 2, got %d" % classifier.num_classes)
+        num_classes = classifier.num_classes
+        if num_classes is None or num_classes < 2:
+            raise ValueError("need num_classes >= 2, got %s" % (num_classes,))
         if np.any(images < PIXEL_LO) or np.any(images > PIXEL_HI):
             raise ValueError("images must lie in [%g, %g]" % (PIXEL_LO, PIXEL_HI))
         labels = np.array(labels, dtype=np.intp)
@@ -246,37 +254,39 @@ class CwAttackProblem(FunctionOracle):
         self.n, self.d = images.shape
 
     def component(self, i, theta):
-        return cw_loss(self, i, theta)
+        """Hinge margin of the true class over the best other class at the
+        clipped perturbed image.
+
+        The classifier sees a fresh array, and the array its ``log_probs``
+        returns is only read, never written, so a classifier may hand back
+        its own storage.
+        """
+        x = self.attacked_image(i, theta)
+        lp = np.asarray(self.classifier.log_probs(x), dtype=np.float64).tolist()
+        # A finite sum proves every entry finite (see FunctionOracle).
+        if not math.isfinite(sum(lp)) and not all(map(math.isfinite, lp)):
+            raise ArithmeticError("classifier returned non-finite log-probs")
+        true = lp.pop(self._labels[i])
+        # lp now holds the rivals in class order. Of equal floats the builtin
+        # max keeps the first and numpy's max the last, which differ only for
+        # a best rival of +-0.0; that one comes from numpy.
+        rival = max(lp)
+        if rival == 0.0:
+            rival = float(np.max(lp))
+        return max(true - rival, 0.0)
 
     def attacked_image(self, i, theta):
         """images[i] + theta clipped to the pixel box, as a fresh array
         (the values of ``np.clip``, nan and -0.0 included)."""
         x = self.images[i] + theta
-        np.maximum(x, PIXEL_LO, out=x)
-        np.minimum(x, PIXEL_HI, out=x)
+        np.maximum(x, _LO, out=x)
+        np.minimum(x, _HI, out=x)
         return x
 
 
 def cw_loss(problem, i, theta):
-    """Hinge margin of the true class over the best other class at the
-    clipped perturbed image.
-
-    The classifier sees a fresh array, and the array its ``log_probs``
-    returns is only read, never written, so a classifier may hand back
-    its own storage.
-    """
-    x = problem.attacked_image(i, theta)
-    lp = np.asarray(problem.classifier.log_probs(x), dtype=np.float64).tolist()
-    if not all(map(math.isfinite, lp)):
-        raise ArithmeticError("classifier returned non-finite log-probs")
-    true = lp.pop(problem._labels[i])
-    # lp now holds the rivals in class order. Of equal floats the builtin
-    # max keeps the first and numpy's max the last, which differ only for
-    # a best rival of +-0.0; that one comes from numpy.
-    rival = max(lp)
-    if rival == 0.0:
-        rival = float(np.max(lp))
-    return max(true - rival, 0.0)
+    """f_i(theta) of a ``CwAttackProblem``: ``problem.component``, the probe path."""
+    return problem.component(i, theta)
 
 
 def attack_surrogate_problem(n, d_image, num_classes, rng):

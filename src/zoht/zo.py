@@ -123,7 +123,7 @@ def _sample_supports(d, s2, q, rng):
 
 
 def _check_mu(cfg, theta):
-    scale = float(np.abs(theta).max())
+    scale = float(np.maximum.reduce(np.abs(theta)))
     if not math.isfinite(scale):
         raise ValueError("theta is not finite: max |theta_j| = %r" % scale)
     floor = MU_FLOOR_SCALE * (1.0 + scale)
@@ -171,7 +171,8 @@ def zo_gradient(f, theta, cfg, rng, directions=None):
     fvals = np.fromiter(map(f, points), np.float64, cfg.q)
     if not math.isfinite(base):
         raise NonFiniteValueError(base, theta)
-    if not np.isfinite(fvals).all():
+    # A finite sum proves every value finite (see FunctionOracle).
+    if not math.isfinite(np.add.reduce(fvals)) and not np.isfinite(fvals).all():
         bad = np.flatnonzero(~np.isfinite(fvals))[0]
         raise NonFiniteValueError(fvals[bad], points[bad])
     diffs = fvals - base

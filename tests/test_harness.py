@@ -225,7 +225,7 @@ def test_pool_asks_for_no_more_workers_than_cells(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(harness, "_worker_problem", None)
     spec = _tiny_spec(algorithms=["szoht"], eta_grid=[0.02], seeds=[1, 2])
     assert len(run_experiment(spec, workers=10**6).traces) == 2

@@ -1,5 +1,6 @@
 import os
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from zoht.problems import (
     PIXEL_LO,
     BlackBoxClassifier,
     CwAttackProblem,
+    LinearSoftmaxClassifier,
     RidgeProblem,
     attack_surrogate_problem,
     cw_loss,
@@ -193,6 +195,9 @@ def test_attack_problem_validation():
     one_class = surrogate_classifier(4, 1, spawn_stream(12, "data-gen"))
     with pytest.raises(ValueError, match="num_classes >= 2"):
         CwAttackProblem(np.zeros((2, 4)), np.array([0, 0]), one_class)
+    # A subclass that never sets num_classes keeps the class default None.
+    with pytest.raises(ValueError, match="need num_classes >= 2, got None"):
+        CwAttackProblem(np.zeros((2, 4)), np.array([0, 0]), BlackBoxClassifier())
     for num_classes in (0, 1):
         with pytest.raises(ValueError, match="num_classes >= 2"):
             attack_surrogate_problem(4, 48, num_classes, spawn_stream(0, "data-gen"))
@@ -287,6 +292,50 @@ def test_cw_loss_never_writes_log_probs_output():
         assert _bits(got) == _bits(_cw_reference(problem, 0, np.zeros(3)))
         assert stored.tobytes() == before.tobytes()
         assert problem.classifier.scores is stored
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_log_probs_refused_at_every_position(bad):
+    for pos in range(3):
+        scores = [0.5, -1.0, 0.25]
+        scores[pos] = bad
+        for label in range(3):
+            with pytest.raises(ArithmeticError, match="non-finite log-probs"):
+                cw_loss(_tiny_attack(scores, label), 0, np.zeros(3))
+    with pytest.raises(ArithmeticError, match="non-finite log-probs"):
+        cw_loss(_tiny_attack([np.inf, -np.inf, 0.0], 2), 0, np.zeros(3))
+
+
+@pytest.mark.parametrize("scores, label", [
+    ([-1e308, -1e308, 0.0], 2), ([1e308, 1e308, 0.0], 0),
+    ([1.5e308, -0.5, 1e308], 1), ([-1e308, -1.7e308, -1e308], 0),
+])
+def test_finite_log_probs_whose_sum_overflows_are_accepted(scores, label):
+    assert not np.isfinite(sum(scores))
+    problem = _tiny_attack(scores, label)
+    got = cw_loss(problem, 0, np.zeros(3))
+    assert _bits(got) == _bits(_cw_reference(problem, 0, np.zeros(3)))
+
+
+def test_linear_classifier_keeps_read_only_copies():
+    rng = spawn_stream(21, "data-gen")
+    W = rng.standard_normal((3, 5))
+    b = rng.standard_normal(3)
+    x = rng.uniform(PIXEL_LO, PIXEL_HI, 5)
+    for weights in (W.copy(), np.asfortranarray(W)):
+        bias = b.copy()
+        classifier = LinearSoftmaxClassifier(weights, bias)
+        # Same layout as the caller's array, so the same gemv bits.
+        assert classifier.weights.flags.f_contiguous == weights.flags.f_contiguous
+        want = _log_probs_reference(SimpleNamespace(weights=weights, bias=bias), x)
+        assert classifier.log_probs(x).tobytes() == want.tobytes()
+        weights *= 2.0
+        bias += 1.0
+        assert classifier.log_probs(x).tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            classifier.weights[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            classifier.bias[0] = 1.0
 
 
 def test_ridge_component_bits_match_reference():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -416,6 +417,41 @@ def test_probe_values_convert_as_item_assignment(convert):
     g = zo_gradient(f, theta, cfg, None, directions=directions)
     want = _item_assignment_reference(f, theta, directions, cfg.mu)
     assert g.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_probe_value_raised_at_every_position(bad):
+    cfg = ZoEstimatorConfig(q=4, s2=3, mu=0.1, d=3)
+    theta = np.array([0.5, -1.0, 2.0])
+    directions = sample_directions(3, 3, 4, spawn_stream(22, "directions"))
+    for pos in range(4):
+        seen = []
+
+        def f(th):
+            seen.append(th.copy())
+            return bad if len(seen) == pos + 2 else 1.0
+
+        with pytest.raises(NonFiniteValueError) as exc:
+            zo_gradient(f, theta, cfg, None, directions=directions)
+        assert exc.value.value == bad
+        assert exc.value.point.tobytes() == seen[pos + 1].tobytes()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_finite_probe_values_whose_sum_overflows_are_accepted(sign):
+    cfg = ZoEstimatorConfig(q=7, s2=4, mu=10.0, d=4)
+    theta = np.array([0.3, -0.2, 0.5, 0.1])
+    directions = sample_directions(4, 4, 7, spawn_stream(23, "directions"))
+
+    def f(th):  # between 8e307 and 1e308 in magnitude
+        return sign * 1e307 * (9.0 + math.tanh(0.01 * float(th.dot(th)) - 0.5))
+
+    assert not math.isfinite(sum(f(p) for p in cfg.mu * directions + theta))
+    with np.errstate(over="ignore"):  # the finiteness pre-check's sum overflows
+        g = zo_gradient(f, theta, cfg, None, directions=directions)
+    want = _item_assignment_reference(f, theta, directions, cfg.mu)
+    assert g.tobytes() == want.tobytes()
+    assert np.all(np.isfinite(g)) and np.any(g != 0.0)
 
 
 def test_probe_value_of_shape_1_is_refused():
