@@ -130,11 +130,10 @@ def build_parser():
     for flag, typ in [
         ("--d", int), ("--n", int), ("--q", int), ("--s2", int),
         ("--k", int), ("--kstar", int),
-        ("--rho-plus", float), ("--rho-minus", float), ("--mu", float),
+        ("--rho-plus", float), ("--rho-minus", float),
     ]:
         ct.add_argument(flag, type=typ, required=True)
     ct.add_argument("--p", type=int, default=None)
-    ct.add_argument("--m", type=int, default=None)
     return parser
 
 
@@ -185,8 +184,7 @@ def _cmd_run(args):
 def _cmd_check_theory(args):
     tp = TheoryParams(
         d=args.d, n=args.n, q=args.q, s2=args.s2, k=args.k, kstar=args.kstar,
-        rho_minus=args.rho_minus, rho_plus=args.rho_plus, mu=args.mu,
-        p=args.p, m=args.m,
+        rho_minus=args.rho_minus, rho_plus=args.rho_plus, p=args.p,
     )
     eps = epsilon_constants(tp)
     print("s = 2k + kstar      : %d" % tp.s)

@@ -245,6 +245,12 @@ class CwAttackProblem(FunctionOracle):
             raise ValueError("labels must be (n,)")
         if np.any(labels < 0) or np.any(labels >= classifier.num_classes):
             raise ValueError("label out of range")
+        # component pops the true class and takes the max of the rest, so a
+        # short output would misread or lose a class on every probe.
+        got = np.size(classifier.log_probs(images[0].copy()))
+        if got != num_classes:
+            raise ValueError("classifier returned %d log-probs for num_classes=%d"
+                             % (got, num_classes))
         images.flags.writeable = False
         labels.flags.writeable = False
         self.images = images

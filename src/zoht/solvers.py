@@ -20,10 +20,10 @@ The budget is a ceiling: a unit of work starts only if its whole IZO cost
 fits in what is left. A unit is one step (a pm-szht step with the refresh
 set it drew), except that a vr-szht epoch starts only if its snapshot and
 one inner pair fit, and a sarah-szht epoch if its full pass does (its first
-step reuses it). ``check_budget`` refuses, before any query, a budget below
-the least one: n(q+1), plus 2(q+1) for vr-szht or (J_max+1)(q+1) for
-pm-szht (J_max = p under p-saga, n under svrg-variant), so every run takes
-a step.
+step reuses it). ``check_budget`` refuses, before any query, a pm-szht p
+outside [1, n] and a budget below the least one: n(q+1), plus 2(q+1) for
+vr-szht or (J_max+1)(q+1) for pm-szht (J_max = p under p-saga, n under
+svrg-variant), so every run takes a step.
 """
 
 from dataclasses import dataclass
@@ -112,13 +112,16 @@ class RunTrace:
 
 
 def check_budget(oracle_n, cfg):
-    """Raise ValueError if cfg.izo_budget is below the solver's least
-    budget (module docstring), which pays for its first step."""
+    """Raise ValueError if pm-szht's p is outside [1, n], or if
+    cfg.izo_budget is below the solver's least budget (module docstring),
+    which pays for its first step."""
     unit = cfg.zo.izo_per_estimate
     least = oracle_n * unit
     if cfg.algorithm == "vr-szht":
         least += 2 * unit
     elif cfg.algorithm == "pm-szht":
+        if not 1 <= cfg.p <= oracle_n:
+            raise ValueError("pm-szht needs 1 <= p <= n, got p=%s n=%d" % (cfg.p, oracle_n))
         j_max = cfg.p if cfg.law == LAW_P_SAGA else oracle_n
         least += (j_max + 1) * unit
     if cfg.izo_budget < least:

@@ -28,9 +28,7 @@ class TheoryParams:
     kstar: int
     rho_minus: float
     rho_plus: float
-    mu: float
     p: int = None   # memory update rate, where applicable
-    m: int = None   # inner-loop length, where applicable
 
     def __post_init__(self):
         if not 1 <= self.s2 <= self.d:
@@ -40,14 +38,10 @@ class TheoryParams:
         if not (self.rho_plus >= self.rho_minus > 0):
             raise ValueError("need rho_plus >= rho_minus > 0, got rho_plus=%s rho_minus=%s"
                              % (self.rho_plus, self.rho_minus))
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative, got mu=%s" % self.mu)
         if self.q < 1 or self.n < 1:
             raise ValueError("q and n must be >= 1, got q=%s n=%s" % (self.q, self.n))
         if self.p is not None and not 1 <= self.p <= self.n:
             raise ValueError("need 1 <= p <= n, got p=%d n=%d" % (self.p, self.n))
-        if self.m is not None and self.m < 1:
-            raise ValueError("need m >= 1, got m=%s" % self.m)
 
     @property
     def s(self):

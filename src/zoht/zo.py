@@ -32,7 +32,7 @@ class NonFiniteValueError(ArithmeticError):
     """The objective returned a non-finite value at ``point``."""
 
     def __init__(self, value, point):
-        super().__init__("non-finite objective value %r" % (value,))
+        super().__init__("non-finite objective value %r" % float(value))
         self.value = value
         self.point = np.array(point)
 

@@ -319,19 +319,19 @@ def test_criterion_09_theory_constants():
     ok = ok and abs(alpha(5, 1) - 2.0) <= 1e-9
     ok = ok and abs(alpha(3, 1) - (1.0 + math.sqrt(2.0))) <= 1e-9
     tp = TheoryParams(d=5, n=10, q=200, s2=5, k=3, kstar=3,
-                      rho_minus=1.0, rho_plus=1.0, mu=1e-4)
+                      rho_minus=1.0, rho_plus=1.0)
     ok = ok and abs(epsilon_constants(tp).eps_I - (110.0 / 1400.0 + 2.0)) <= 1e-9
     tp2 = TheoryParams(d=5, n=10, q=200, s2=5, k=3, kstar=3,
-                       rho_minus=1.0, rho_plus=2.0, mu=1e-4)
+                       rho_minus=1.0, rho_plus=2.0)
     ok = ok and abs(epsilon_constants(tp2).eps_mu - 180.0) <= 1e-9
     tp3 = TheoryParams(d=100, n=10, q=200, s2=1, k=10, kstar=4,
-                       rho_minus=1.0, rho_plus=1.0, mu=1e-4)
+                       rho_minus=1.0, rho_plus=1.0)
     ok = ok and abs(szoht_conditions(tp3)[2] - 800.0 / math.sqrt(26.0)) <= 1e-9
     # every interval's real roots satisfy its quadratic to 1e-9
     tp4 = TheoryParams(d=30_100, n=10, q=1_000_000, s2=5, k=10_001, kstar=10_000,
-                       rho_minus=1.0, rho_plus=1.0, mu=1e-4, p=10)
+                       rho_minus=1.0, rho_plus=1.0, p=10)
     tp5 = TheoryParams(d=20, n=10, q=200, s2=5, k=6, kstar=0,
-                       rho_minus=1.0, rho_plus=1.0, mu=1e-4, p=5)
+                       rho_minus=1.0, rho_plus=1.0, p=5)
     intervals = [
         pm_eta_interval(tp4),
         vrszht_eta_interval(tp5)[0],
@@ -344,12 +344,12 @@ def test_criterion_09_theory_constants():
             ok = ok and abs(a * root * root + b * root + c) <= 1e-9
     # pinned empty-interval signs
     tp_pm = TheoryParams(d=20, n=10, q=200, s2=5, k=5, kstar=1,
-                         rho_minus=1.0, rho_plus=1.0, mu=1e-4, p=10)
+                         rho_minus=1.0, rho_plus=1.0, p=10)
     ok = ok and pm_eta_interval(tp_pm, eps_I=2.1).discriminant == pytest.approx(
         16.0 - 8.0 * 202.6, abs=1e-9
     )
     tp6 = TheoryParams(d=300, n=10, q=200, s2=5, k=101, kstar=1,
-                       rho_minus=1.0, rho_plus=1.0, mu=1e-4)
+                       rho_minus=1.0, rho_plus=1.0)
     iv6, rec6 = vrszht_eta_interval(tp6, eps_I=2.1)
     ok = ok and iv6.discriminant == pytest.approx(1.44 - 4.0 * 121.96 * 0.2, abs=1e-9)
     ok = ok and rec6 == pytest.approx(1.2 / (2.0 * 121.96), abs=1e-9)

@@ -67,7 +67,7 @@ def test_bad_list_entry_is_a_usage_error(tmp_path, capsys, flag, value, message)
 
 
 _THEORY_ARGV = ["check-theory", "--d", "5", "--n", "10", "--q", "200", "--s2", "5",
-                "--rho-plus", "2.0", "--rho-minus", "0.5", "--mu", "1e-4"]
+                "--rho-plus", "2.0", "--rho-minus", "0.5"]
 
 
 def _solver_config(algorithm="szoht", eta=0.01, k=3, m=10):
@@ -90,7 +90,7 @@ def _solver_config(algorithm="szoht", eta=0.01, k=3, m=10):
      "lambda must be >= 0, got lambda=-1.0"),
     (_THEORY_ARGV + ["--kstar", "4", "--k", "3"],
      lambda: TheoryParams(d=5, n=10, q=200, s2=5, k=3, kstar=4, rho_minus=0.5,
-                          rho_plus=2.0, mu=1e-4),
+                          rho_plus=2.0),
      "need k >= kstar >= 0, got k=3 kstar=4"),
 ], ids=["k", "eta", "m", "n", "lambda", "kstar"])
 def test_refusal_names_the_value_it_got(tmp_path, capsys, argv, refuse, message):
@@ -133,11 +133,11 @@ def test_failed_run_check_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_check_theory_matches_module(capsys):
     tp = TheoryParams(d=5, n=10, q=200, s2=5, k=3, kstar=1,
-                      rho_minus=0.5, rho_plus=2.0, mu=1e-4, p=1, m=10)
+                      rho_minus=0.5, rho_plus=2.0, p=1)
     code = main([
         "check-theory", "--d", "5", "--n", "10", "--q", "200", "--s2", "5",
         "--k", "3", "--kstar", "1", "--rho-plus", "2.0", "--rho-minus", "0.5",
-        "--mu", "1e-4", "--p", "1", "--m", "10",
+        "--p", "1",
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -152,6 +152,18 @@ def test_check_theory_matches_module(capsys):
     assert float(values["eps_mu"]) == pytest.approx(eps.eps_mu, rel=1e-8)
     _, rec = vrszht_eta_interval(tp)
     assert float(values["vr recommended eta"]) == pytest.approx(rec, rel=1e-8)
+
+
+def test_check_theory_has_no_mu_or_m(capsys):
+    # No formula reads a smoothing radius or an inner-loop length, so the
+    # report takes neither; the run subcommands keep their own --mu and --m.
+    with pytest.raises(SystemExit) as exc:
+        main(_THEORY_ARGV + ["--k", "3", "--kstar", "1",
+                             "--mu", "1e-4", "--p", "1", "--m", "10"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --mu 1e-4 --m 10\n" in captured.err
 
 
 def test_single_run_writes_three_files(tmp_path, capsys):
@@ -239,10 +251,10 @@ def test_ridge_synthetic_s2_defaults_to_d(tmp_path):
 
 @pytest.mark.parametrize("argv, code", [
     (["check-theory", "--d", "5", "--n", "10", "--q", "200", "--s2", "5", "--k", "3",
-      "--kstar", "1", "--rho-plus", "2.0", "--rho-minus", "0.5", "--mu", "1e-4"], 0),
+      "--kstar", "1", "--rho-plus", "2.0", "--rho-minus", "0.5"], 0),
     (["make-coffee"], 1),
     (["check-theory", "--d", "1", "--n", "10", "--q", "200", "--s2", "1", "--k", "1",
-      "--kstar", "1", "--rho-plus", "2.0", "--rho-minus", "0.5", "--mu", "1e-4"], 2),
+      "--kstar", "1", "--rho-plus", "2.0", "--rho-minus", "0.5"], 2),
 ])
 def test_module_entry_point_exit_codes(argv, code):
     src = os.path.join(os.path.dirname(__file__), "..", "src")

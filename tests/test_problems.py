@@ -146,6 +146,21 @@ def _tiny_attack(scores, label):
     return CwAttackProblem(images, np.array([label]), _FixedClassifier(scores))
 
 
+def test_log_probs_count_must_match_num_classes():
+    # a short output would give label 0 a wrong hinge and label 2 an
+    # IndexError; both are refused when the problem is built
+    class Short(_FixedClassifier):
+        num_classes = 3
+
+        def __init__(self):
+            self.scores = np.array([1.5, 1.0])
+
+    for label in range(3):
+        with pytest.raises(ValueError) as exc:
+            CwAttackProblem(np.zeros((1, 3)), np.array([label]), Short())
+        assert str(exc.value) == "classifier returned 2 log-probs for num_classes=3"
+
+
 def test_cw_loss_hand_value():
     problem = _tiny_attack([1.5, 1.0], 0)
     assert cw_loss(problem, 0, np.zeros(3)) == pytest.approx(0.5, abs=1e-12)

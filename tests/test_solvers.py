@@ -500,6 +500,21 @@ def test_budget_below_full_pass_rejected():
             assert (trace.nht, trace.izo) == (steps, least), algo
 
 
+def test_pm_p_out_of_range_refused_before_any_query():
+    # p is refused by name whatever the budget, before the least budget is
+    # computed from it and before the initial objective value is read
+    base = ridge_synthetic(5, 4, 0.1, spawn_stream(12, "data-gen"))
+    zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
+    for p, budget, law in itertools.product((0, 6), (10_000, 100),
+                                            ("p-saga", "svrg-variant")):
+        problem = CountingRidge(base.X, base.y, base.lam)
+        cfg = _cfg("pm-szht", eta=0.01, k=2, zo=zo, budget=budget, seed=14, p=p, law=law)
+        with pytest.raises(ValueError) as exc:
+            run_solver(problem, cfg)
+        assert str(exc.value) == "pm-szht needs 1 <= p <= n, got p=%d n=5" % p
+        assert problem.calls == problem.values == 0
+
+
 def test_vr_collapses_to_exact_descent_for_n_1():
     # with one component the snapshot estimate telescopes to the full
     # gradient; with the exact stub the inner step is plain descent + HT
@@ -593,7 +608,7 @@ def test_recommended_eta_descends_on_ridge():
     problem = ridge_synthetic(10, 5, 0.5, spawn_stream(0, "data-gen"))
     rho_minus, rho_plus = problem.rho_bounds()
     tp = TheoryParams(d=5, n=10, q=200, s2=5, k=3, kstar=1,
-                      rho_minus=rho_minus, rho_plus=rho_plus, mu=1e-4, m=10)
+                      rho_minus=rho_minus, rho_plus=rho_plus)
     _, eta_rec = vrszht_eta_interval(tp)
     assert eta_rec > 0.0
     zo = ZoEstimatorConfig(q=200, s2=5, mu=1e-4, d=5)

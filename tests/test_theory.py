@@ -20,7 +20,7 @@ from zoht.theory import (
 
 def _tp(**kw):
     base = dict(d=5, n=10, q=200, s2=5, k=3, kstar=1,
-                rho_minus=1.0, rho_plus=1.0, mu=1e-4)
+                rho_minus=1.0, rho_plus=1.0)
     base.update(kw)
     return TheoryParams(**base)
 
@@ -48,7 +48,7 @@ def test_epsilon_pinned_values():
     assert eps3.eps_Ic == 0.0
     with pytest.raises(ValueError):
         epsilon_constants(TheoryParams(d=1, n=2, q=5, s2=1, k=1, kstar=0,
-                                       rho_minus=1.0, rho_plus=1.0, mu=0.1))
+                                       rho_minus=1.0, rho_plus=1.0))
 
 
 def test_epsilon_monotone_in_q_and_limits():

@@ -496,6 +496,18 @@ def test_non_finite_probe_raised_after_all_calls_in_order():
     assert type(exc.value.value) is np.float32
 
 
+@pytest.mark.parametrize("bad, text", [
+    (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+])
+def test_non_finite_value_message_is_a_plain_float(bad, text):
+    cfg = ZoEstimatorConfig(q=3, s2=2, mu=0.1, d=2)
+    theta = np.array([0.5, 0.5])
+    with pytest.raises(NonFiniteValueError) as exc:
+        zo_gradient(lambda th: 1.0 if th.tobytes() == theta.tobytes() else bad,
+                    theta, cfg, spawn_stream(13, "directions"))
+    assert str(exc.value) == "non-finite objective value %s" % text
+
+
 def test_full_gradient_reduces_to_single_for_n_1():
     problem = ridge_synthetic(1, 4, 0.1, spawn_stream(14, "data-gen"), standardize=False)
     cfg = ZoEstimatorConfig(q=6, s2=4, mu=1e-4, d=4)
