@@ -27,7 +27,6 @@ from .problems import (
     CwAttackProblem,
     RidgeProblem,
     attack_surrogate_problem,
-    cw_loss,
     ridge_from_csv,
     ridge_synthetic,
     surrogate_classifier,

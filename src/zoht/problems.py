@@ -31,6 +31,8 @@ class RidgeProblem(FunctionOracle):
             raise ValueError("X must be (n, d) with n >= 1 and y must be (n,)")
         if lam < 0:
             raise ValueError("lambda must be >= 0, got lambda=%s" % lam)
+        if not math.isfinite(lam):
+            raise ValueError("lambda must be finite, got lambda=%s" % lam)
         X.flags.writeable = False
         y.flags.writeable = False
         self.X = X
@@ -154,12 +156,16 @@ def ridge_from_csv(path, target_column, lam):
             parsed = []
             for col, cell in enumerate(row):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ValueError(
                         "non-numeric cell at row %d, column %r: %r"
                         % (row_num, header[col], cell)
                     )
+                if not math.isfinite(value):
+                    raise ValueError("non-finite cell at row %d, column %r: %r"
+                                     % (row_num, header[col], cell))
+                parsed.append(value)
             rows.append(parsed)
     if not rows:
         raise ValueError("no data rows in %s" % path)
@@ -227,8 +233,8 @@ class CwAttackProblem(FunctionOracle):
     Driving the hinge to zero flips the prediction, so the solvers'
     descent orientation applies directly. Values are always >= 0. The
     images and labels are fixed at construction as read-only copies.
-    ``component`` is the probe path: it clips through ``attacked_image``
-    and computes the hinge itself; ``cw_loss`` delegates to it.
+    ``component`` is the attack loss f_i: it clips through
+    ``attacked_image`` and computes the hinge itself.
     """
 
     def __init__(self, images, labels, classifier):
@@ -238,7 +244,7 @@ class CwAttackProblem(FunctionOracle):
         num_classes = classifier.num_classes
         if num_classes is None or num_classes < 2:
             raise ValueError("need num_classes >= 2, got %s" % (num_classes,))
-        if np.any(images < PIXEL_LO) or np.any(images > PIXEL_HI):
+        if not ((images >= PIXEL_LO) & (images <= PIXEL_HI)).all():
             raise ValueError("images must lie in [%g, %g]" % (PIXEL_LO, PIXEL_HI))
         labels = np.array(labels, dtype=np.intp)
         if labels.shape != (images.shape[0],):
@@ -288,11 +294,6 @@ class CwAttackProblem(FunctionOracle):
         np.maximum(x, _LO, out=x)
         np.minimum(x, _HI, out=x)
         return x
-
-
-def cw_loss(problem, i, theta):
-    """f_i(theta) of a ``CwAttackProblem``: ``problem.component``, the probe path."""
-    return problem.component(i, theta)
 
 
 def attack_surrogate_problem(n, d_image, num_classes, rng):

@@ -71,7 +71,7 @@ class ZoComponentEstimator:
         if directions is None:
             directions = self._directions()
         f = partial(self.oracle.component, i)
-        return zo_gradient(f, theta, self.cfg, self.rng, directions)
+        return zo_gradient(f, theta, self.cfg, directions)
 
     def estimate_pair(self, i, theta_a, theta_b):
         """Estimates of grad f_i at two points. Directions are independent

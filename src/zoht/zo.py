@@ -13,7 +13,7 @@ Directions come in two forms. For s2 = d they are the rows of a dense
 coordinates of u_i and their indices. The probe points are built by
 scattering into copies of theta, and the sum over i is one ``bincount``.
 
-Solvers do not draw per estimate: ``vr.ZoComponentEstimator`` draws the
+``zo_gradient`` never draws. ``vr.ZoComponentEstimator`` draws the
 directions of many estimates with one ``sample_directions`` call (up to
 2**14 entries, see its docstring) and hands each estimate the next q rows.
 """
@@ -51,6 +51,8 @@ class ZoEstimatorConfig:
             raise ValueError("need 1 <= s2 <= d, got s2=%d d=%d" % (self.s2, self.d))
         if not self.mu > 0:
             raise ValueError("mu must be positive, got %r" % self.mu)
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite, got %r" % self.mu)
 
     @property
     def izo_per_estimate(self):
@@ -133,16 +135,16 @@ def _check_mu(cfg, theta):
         )
 
 
-def zo_gradient(f, theta, cfg, rng, directions=None):
+def zo_gradient(f, theta, cfg, directions):
     """Forward-difference gradient estimate of a scalar function at theta,
-    as a (d,) array.
+    as a (d,) array, along the given directions; it never draws any.
 
+    ``directions`` is a dense (q, d) array (any s2), or a
+    ``(values, support)`` pair of (q, s2) arrays as ``sample_directions``
+    returns for s2 < d. Passing one set twice couples two estimates.
     Makes ``cfg.izo_per_estimate`` evaluations of ``f``, at theta and then
     at each row of one (q, d) array of probe points, and charges none of
     them; the caller keeps the tally (``vr.ZoComponentEstimator.izo``).
-    Pass ``directions`` to reuse a frozen direction set, e.g. to couple two
-    estimates: a dense (q, d) array (any s2), or a ``(values, support)``
-    pair of (q, s2) arrays as ``sample_directions`` returns for s2 < d.
 
     Raises NonFiniteValueError at theta or at the first probe point whose
     value is not finite, that point byte for byte as ``f`` saw it.
@@ -151,10 +153,7 @@ def zo_gradient(f, theta, cfg, rng, directions=None):
     if theta.shape != (cfg.d,):
         raise ValueError("theta shape %s does not match d=%d" % (theta.shape, cfg.d))
     _check_mu(cfg, theta)
-    if directions is None:
-        directions = sample_directions(cfg.d, cfg.s2, cfg.q, rng)
-    else:
-        _check_directions(directions, cfg)
+    _check_directions(directions, cfg)
     sparse = isinstance(directions, tuple)
     if sparse:
         # The points equal the dense ``mu * u + theta`` byte for byte: off
@@ -188,7 +187,7 @@ def _check_directions(directions, cfg):
     if isinstance(directions, tuple):
         shape, want = tuple(np.shape(a) for a in directions), ((cfg.q, cfg.s2),) * 2
     else:
-        shape, want = directions.shape, (cfg.q, cfg.d)
+        shape, want = np.shape(directions), (cfg.q, cfg.d)
     if shape != want:
         raise ValueError("directions shape %s does not match %s" % (shape, want))
 

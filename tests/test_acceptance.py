@@ -36,7 +36,7 @@ from zoht.vr import (
     svrg_gradient,
     take_snapshot,
 )
-from zoht.zo import ZoEstimatorConfig, zo_gradient
+from zoht.zo import ZoEstimatorConfig, sample_directions, zo_gradient
 
 
 def _report(num, description, ok):
@@ -99,7 +99,7 @@ def test_criterion_03_zo_unbiasedness():
         theta = np.zeros(d)
         f = lambda th: float(c @ th)
         for t in range(n_draws):
-            draws[t] = zo_gradient(f, theta, cfg, rng)
+            draws[t] = zo_gradient(f, theta, cfg, sample_directions(d, d, 1, rng))
         err = np.abs(draws.mean(axis=0) - c)
         tol = 3.0 * draws.std(axis=0) / math.sqrt(n_draws)
         ok = ok and bool(np.all(err <= tol))
@@ -116,7 +116,7 @@ def test_criterion_03_zo_unbiasedness():
     for j, sign in product(range(d), (1.0, -1.0)):
         e = np.zeros((1, d))
         e[0, j] = sign
-        total += zo_gradient(f, theta, cfg, None, directions=e)
+        total += zo_gradient(f, theta, cfg, directions=e)
     enumeration_mean = total / (2 * d)
     central = np.array([
         (f(theta + 0.1 * np.eye(d)[j]) - f(theta - 0.1 * np.eye(d)[j])) / 0.2

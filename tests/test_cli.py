@@ -88,11 +88,16 @@ def _solver_config(algorithm="szoht", eta=0.01, k=3, m=10):
      "need n, d >= 1, got n=0 d=5"),
     (["ridge-synthetic", "--lambda", "-1"], lambda: RidgeProblem(np.eye(2), np.ones(2), -1.0),
      "lambda must be >= 0, got lambda=-1.0"),
+    (["ridge-synthetic", "--lambda", "nan"],
+     lambda: RidgeProblem(np.eye(2), np.ones(2), float("nan")),
+     "lambda must be finite, got lambda=nan"),
+    (["ridge-synthetic", "--mu", "inf"],
+     lambda: ZoEstimatorConfig(q=200, s2=5, mu=float("inf"), d=5), "mu must be finite, got inf"),
     (_THEORY_ARGV + ["--kstar", "4", "--k", "3"],
      lambda: TheoryParams(d=5, n=10, q=200, s2=5, k=3, kstar=4, rho_minus=0.5,
                           rho_plus=2.0),
      "need k >= kstar >= 0, got k=3 kstar=4"),
-], ids=["k", "eta", "m", "n", "lambda", "kstar"])
+], ids=["k", "eta", "m", "n", "lambda", "lambda-nan", "mu-inf", "kstar"])
 def test_refusal_names_the_value_it_got(tmp_path, capsys, argv, refuse, message):
     with pytest.raises(ValueError) as exc:
         refuse()

@@ -1,5 +1,6 @@
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,19 +163,19 @@ def test_csv_schemas(tmp_path):
         elif name.startswith("agg_"):
             assert header == "izo,mean_fval,std_fval"
     meta = [p for p in paths if p.endswith("meta.txt")][0]
-    text = open(meta).read()
+    text = Path(meta).read_text()
     assert "rng=" in text and "best_eta_szoht=" in text and "misprint" in text
     assert "\np=1\n" in text
     # without pm-szht, p may be unset: meta.txt then omits it, as it does m
     spec = _tiny_spec(algorithms=["szoht"], eta_grid=[0.02], seeds=[5], p=None)
     paths = emit_csv(run_experiment(spec), str(tmp_path / "no_p"))
-    text = open([p for p in paths if p.endswith("meta.txt")][0]).read()
+    text = Path([p for p in paths if p.endswith("meta.txt")][0]).read_text()
     assert "\np=" not in text and "\nm=" not in text and "law=p-saga" in text
     # an int eta that diverges: meta.txt names each diverged cell as its raw file
     spec = _tiny_spec(algorithms=["szoht"], eta_grid=[0.02, 10**9], seeds=[1])
     out = tmp_path / "int_eta"
     paths = emit_csv(run_experiment(spec), str(out))
-    text = open([p for p in paths if p.endswith("meta.txt")][0]).read()
+    text = Path([p for p in paths if p.endswith("meta.txt")][0]).read_text()
     cells = text.split("diverged_cells=")[1].strip().split(";")
     assert cells == ["szoht,eta1000000000.0,seed1"]
     for cell in cells:
@@ -194,7 +195,7 @@ def test_empty_trace_writes_header_only(tmp_path):
     result.curves["nht"]["szoht"] = (np.array([0]), np.array([1.0]), np.array([0.0]))
     paths = emit_csv(result, str(tmp_path))
     raw = [p for p in paths if os.path.basename(p).startswith("raw_")][0]
-    assert open(raw).read() == "izo,nht,fval,nnz\n"
+    assert Path(raw).read_text() == "izo,nht,fval,nnz\n"
 
 
 def test_worker_pool_invariance():
@@ -243,7 +244,7 @@ def test_svg_valid_and_constant_curve_horizontal(tmp_path):
     spec = _tiny_spec(algorithms=["szoht"], eta_grid=[0.0], seeds=[6])
     result = run_experiment(spec)
     path = emit_svg(result, "izo", str(tmp_path))
-    text = open(path).read()
+    text = Path(path).read_text()
     assert validate_svg(text)
     # constant objective: the mean polyline is horizontal
     line = [ln for ln in text.splitlines() if "polyline" in ln][0]
@@ -256,7 +257,7 @@ def test_svg_nht_axis_range(tmp_path):
     spec = _tiny_spec(algorithms=["szoht"], eta_grid=[0.01], seeds=[7])
     result = run_experiment(spec)
     path = emit_svg(result, "nht", str(tmp_path))
-    assert validate_svg(open(path).read())
+    assert validate_svg(Path(path).read_text())
     grid, _, _ = result.curves["nht"]["szoht"]
     trace = result.traces[("szoht", 0.01, 7)]
     assert grid[0] == 0 and grid[-1] == trace.nht
@@ -282,6 +283,6 @@ def test_svg_floors_nonpositive_values_with_warning(tmp_path):
     huge_std = mean + 1.0  # mean - std dips below zero everywhere
     result.curves["izo"]["szoht"] = (grid, mean, huge_std)
     path = emit_svg(result, "izo", str(tmp_path))
-    text = open(path).read()
+    text = Path(path).read_text()
     assert validate_svg(text)
     assert "floored" in text

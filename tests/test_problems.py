@@ -14,7 +14,6 @@ from zoht.problems import (
     LinearSoftmaxClassifier,
     RidgeProblem,
     attack_surrogate_problem,
-    cw_loss,
     ridge_from_csv,
     ridge_synthetic,
     standardize_columns,
@@ -111,9 +110,10 @@ def test_csv_header_only(tmp_path):
 
 def test_csv_non_numeric_cell_reports_position(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("a,b\n1,2\n1,oops\n")
-    with pytest.raises(ValueError, match="row 3, column 'b'"):
-        ridge_from_csv(str(path), "b", 0.1)
+    for cell in ("oops", "nan", "inf"):
+        path.write_text("a,b\n1,2\n1,%s\n" % cell)
+        with pytest.raises(ValueError, match="row 3, column 'b'"):
+            ridge_from_csv(str(path), "b", 0.1)
 
 
 def test_constant_column_warns_and_zeroes():
@@ -163,12 +163,12 @@ def test_log_probs_count_must_match_num_classes():
 
 def test_cw_loss_hand_value():
     problem = _tiny_attack([1.5, 1.0], 0)
-    assert cw_loss(problem, 0, np.zeros(3)) == pytest.approx(0.5, abs=1e-12)
+    assert problem.component(0, np.zeros(3)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_cw_loss_hinge_floor():
     problem = _tiny_attack([0.2, 1.0, 0.5], 0)  # true class already loses
-    assert cw_loss(problem, 0, np.zeros(3)) == 0.0
+    assert problem.component(0, np.zeros(3)) == 0.0
 
 
 def test_cw_loss_clipping_saturates():
@@ -178,7 +178,7 @@ def test_cw_loss_clipping_saturates():
     problem = CwAttackProblem(images, np.array([1]), classifier)
     theta = np.array([0.3, 0.0, 0.0])  # pixel 0 already past the box
     more = np.array([5.0, 0.0, 0.0])
-    assert cw_loss(problem, 0, theta) == cw_loss(problem, 0, more)
+    assert problem.component(0, theta) == problem.component(0, more)
 
 
 def test_cw_loss_nonnegative_everywhere():
@@ -187,7 +187,7 @@ def test_cw_loss_nonnegative_everywhere():
     for _ in range(300):
         theta = rng.uniform(-2, 2, 8)
         i = int(rng.integers(5))
-        assert cw_loss(problem, i, theta) >= 0.0
+        assert problem.component(i, theta) >= 0.0
 
 
 def test_attack_problem_starts_at_decision_margin():
@@ -203,6 +203,11 @@ def test_attack_problem_validation():
     classifier = surrogate_classifier(4, 3, spawn_stream(12, "data-gen"))
     with pytest.raises(ValueError):
         CwAttackProblem(np.full((2, 4), 0.7), np.array([0, 1]), classifier)
+    # NaN compares false both ways, so it must fail the range check too.
+    nan_pixel = np.zeros((2, 4))
+    nan_pixel[1, 2] = np.nan
+    with pytest.raises(ValueError, match=r"images must lie in \[-0.5, 0.5\]"):
+        CwAttackProblem(nan_pixel, np.array([0, 1]), classifier)
     with pytest.raises(ValueError):
         CwAttackProblem(np.zeros((2, 4)), np.array([0, 5]), classifier)
     with pytest.raises(ValueError, match="n >= 1"):
@@ -246,7 +251,7 @@ def test_cw_loss_bits_match_reference(num_classes):
         for _ in range(150):
             theta = scale * rng.standard_normal(48)
             i = int(rng.integers(problem.n))
-            got = cw_loss(problem, i, theta)
+            got = problem.component(i, theta)
             assert _bits(got) == _bits(_cw_reference(problem, i, theta))
             raw = problem.images[i] + theta
             saturated += np.any((raw < PIXEL_LO) | (raw > PIXEL_HI))
@@ -260,7 +265,7 @@ def test_cw_loss_bits_match_reference(num_classes):
 def test_cw_loss_signed_zero_bits_match_reference(scores, label):
     # numpy's max keeps the last of equal floats, the builtin max the first
     problem = _tiny_attack(scores, label)
-    got = cw_loss(problem, 0, np.zeros(3))
+    got = problem.component(0, np.zeros(3))
     assert _bits(got) == _bits(_cw_reference(problem, 0, np.zeros(3)))
 
 
@@ -303,7 +308,7 @@ def test_cw_loss_never_writes_log_probs_output():
         problem = _tiny_attack(scores, label)
         stored = problem.classifier.scores
         before = stored.copy()
-        got = cw_loss(problem, 0, np.zeros(3))
+        got = problem.component(0, np.zeros(3))
         assert _bits(got) == _bits(_cw_reference(problem, 0, np.zeros(3)))
         assert stored.tobytes() == before.tobytes()
         assert problem.classifier.scores is stored
@@ -316,9 +321,9 @@ def test_non_finite_log_probs_refused_at_every_position(bad):
         scores[pos] = bad
         for label in range(3):
             with pytest.raises(ArithmeticError, match="non-finite log-probs"):
-                cw_loss(_tiny_attack(scores, label), 0, np.zeros(3))
+                _tiny_attack(scores, label).component(0, np.zeros(3))
     with pytest.raises(ArithmeticError, match="non-finite log-probs"):
-        cw_loss(_tiny_attack([np.inf, -np.inf, 0.0], 2), 0, np.zeros(3))
+        _tiny_attack([np.inf, -np.inf, 0.0], 2).component(0, np.zeros(3))
 
 
 @pytest.mark.parametrize("scores, label", [
@@ -328,7 +333,7 @@ def test_non_finite_log_probs_refused_at_every_position(bad):
 def test_finite_log_probs_whose_sum_overflows_are_accepted(scores, label):
     assert not np.isfinite(sum(scores))
     problem = _tiny_attack(scores, label)
-    got = cw_loss(problem, 0, np.zeros(3))
+    got = problem.component(0, np.zeros(3))
     assert _bits(got) == _bits(_cw_reference(problem, 0, np.zeros(3)))
 
 

@@ -176,7 +176,8 @@ def test_second_moment_isotropy_full_support():
 def test_constant_function_gives_exact_zero():
     cfg = ZoEstimatorConfig(q=7, s2=2, mu=0.05, d=4)
     rng = spawn_stream(3, "directions")
-    est = zo_gradient(lambda th: 4.25, np.ones(4), cfg, rng)
+    est = zo_gradient(lambda th: 4.25, np.ones(4), cfg,
+                      sample_directions(cfg.d, cfg.s2, cfg.q, rng))
     np.testing.assert_array_equal(est, np.zeros(4))
 
 
@@ -189,7 +190,8 @@ def test_linear_unbiasedness_monte_carlo():
     draws = np.empty((n_draws, 3))
     theta = np.zeros(3)
     for t in range(n_draws):
-        draws[t] = zo_gradient(lambda th: float(c @ th), theta, cfg, rng)
+        draws[t] = zo_gradient(lambda th: float(c @ th), theta, cfg,
+                               sample_directions(cfg.d, cfg.s2, cfg.q, rng))
     err = np.abs(draws.mean(axis=0) - c)
     tol = 3.0 * draws.std(axis=0) / np.sqrt(n_draws)
     assert np.all(err <= tol)
@@ -201,13 +203,12 @@ def test_axis_enumeration_matches_central_difference():
     f = lambda th: float(th[0] ** 2 + th[1] ** 2)
     theta = np.array([1.0, 2.0])
     cfg = ZoEstimatorConfig(q=1, s2=1, mu=0.1, d=2)
-    rng = spawn_stream(5, "directions")
     total = np.zeros(2)
     for j in range(2):
         for sign in (1.0, -1.0):
             e = np.zeros((1, 2))
             e[0, j] = sign
-            total += zo_gradient(f, theta, cfg, rng, directions=e)
+            total += zo_gradient(f, theta, cfg, directions=e)
     np.testing.assert_allclose(total / 4.0, [2.0, 4.0], atol=1e-12)
 
 
@@ -234,7 +235,7 @@ def test_probe_blocks_match_direct_formula():
     pair = sample_directions(d, 7, q, spawn_stream(24, "directions"))
     dirs = densify(pair, d)
     cfg = ZoEstimatorConfig(q=q, s2=7, mu=mu, d=d)
-    est = zo_gradient(f, theta, cfg, None, directions=dirs)
+    est = zo_gradient(f, theta, cfg, directions=dirs)
     values = np.array([f(p) for p in theta + mu * dirs])
     expected = (d / (q * mu)) * ((values - f(theta)) @ dirs)
     assert est.tobytes() == expected.tobytes()
@@ -247,7 +248,7 @@ def test_probe_blocks_match_direct_formula():
     outside = np.flatnonzero(np.all(dirs == 0.0, axis=0))[0]
     theta[outside] = -0.0
     seen = []
-    est = zo_gradient(lambda th: seen.append(th.copy()) or f(th), theta, cfg, None,
+    est = zo_gradient(lambda th: seen.append(th.copy()) or f(th), theta, cfg,
                       directions=pair)
     points = theta + mu * dirs
     assert np.signbit(points[:, outside]).sum() == 0
@@ -262,7 +263,7 @@ def test_support_containment_exact():
     cfg = ZoEstimatorConfig(q=3, s2=2, mu=0.01, d=10)
     rng = spawn_stream(7, "directions")
     dirs = densify(sample_directions(10, 2, 3, rng), 10)
-    est = zo_gradient(lambda th: float(th @ th), np.ones(10), cfg, rng, directions=dirs)
+    est = zo_gradient(lambda th: float(th @ th), np.ones(10), cfg, directions=dirs)
     outside = np.flatnonzero(np.all(dirs == 0.0, axis=0))
     assert outside.size >= 10 - 3 * 2
     np.testing.assert_array_equal(est[outside], 0.0)
@@ -273,9 +274,11 @@ def test_scaling_exact_for_power_of_two():
     theta = np.array([0.3, -0.7, 1.1])
     cfg = ZoEstimatorConfig(q=5, s2=3, mu=0.01, d=3)
     for a in (2.0, 0.5, -4.0):
-        g1 = zo_gradient(f, theta, cfg, spawn_stream(8, "directions"))
+        g1 = zo_gradient(f, theta, cfg,
+                         sample_directions(cfg.d, cfg.s2, cfg.q, spawn_stream(8, "directions")))
         g2 = zo_gradient(
-            lambda th: a * f(th), theta, cfg, spawn_stream(8, "directions")
+            lambda th: a * f(th), theta, cfg,
+            sample_directions(cfg.d, cfg.s2, cfg.q, spawn_stream(8, "directions"))
         )
         np.testing.assert_array_equal(g2, a * g1)
 
@@ -284,9 +287,11 @@ def test_scaling_general_factor_close():
     f = lambda th: float(np.cos(th).sum())
     theta = np.array([0.2, 0.4])
     cfg = ZoEstimatorConfig(q=5, s2=2, mu=0.01, d=2)
-    g1 = zo_gradient(f, theta, cfg, spawn_stream(9, "directions"))
+    g1 = zo_gradient(f, theta, cfg,
+                     sample_directions(cfg.d, cfg.s2, cfg.q, spawn_stream(9, "directions")))
     g2 = zo_gradient(
-        lambda th: 3.7 * f(th), theta, cfg, spawn_stream(9, "directions")
+        lambda th: 3.7 * f(th), theta, cfg,
+        sample_directions(cfg.d, cfg.s2, cfg.q, spawn_stream(9, "directions"))
     )
     np.testing.assert_allclose(g2, 3.7 * g1, rtol=1e-12)
 
@@ -303,7 +308,8 @@ def test_smoothing_bias_decay():
         cfg = ZoEstimatorConfig(q=1, s2=3, mu=mu, d=3)
         rng = spawn_stream(seed, "directions")
         draws = np.stack(
-            [zo_gradient(f, theta, cfg, rng) for _ in range(100_000)]
+            [zo_gradient(f, theta, cfg, sample_directions(cfg.d, cfg.s2, cfg.q, rng))
+             for _ in range(100_000)]
         )
         biases.append(float(np.linalg.norm(draws.mean(axis=0) - true_grad)))
         sigmas.append(float(np.linalg.norm(draws.std(axis=0))) / np.sqrt(len(draws)))
@@ -313,26 +319,30 @@ def test_smoothing_bias_decay():
 def test_frozen_directions_shape_checked():
     cfg = ZoEstimatorConfig(q=3, s2=2, mu=0.1, d=4)
     with pytest.raises(ValueError, match="directions shape"):
-        zo_gradient(lambda th: 0.0, np.zeros(4), cfg, None,
+        zo_gradient(lambda th: 0.0, np.zeros(4), cfg,
                     directions=np.zeros((2, 4)))
     # A (values, support) pair must be two (q, s2) arrays.
     with pytest.raises(ValueError, match="directions shape"):
-        zo_gradient(lambda th: 0.0, np.zeros(4), cfg, None,
+        zo_gradient(lambda th: 0.0, np.zeros(4), cfg,
                     directions=(np.ones((3, 2)), np.zeros((3, 3), dtype=np.intp)))
+    # An rng where the directions go is refused by the same check.
+    with pytest.raises(ValueError, match=r"directions shape \(\) does not match"):
+        zo_gradient(lambda th: 0.0, np.zeros(4), cfg, spawn_stream(12, "directions"))
 
 
 def test_degenerate_mu_rejected():
     cfg = ZoEstimatorConfig(q=1, s2=1, mu=1e-14, d=2)
     with pytest.raises(ValueError):
-        zo_gradient(lambda th: 0.0, np.zeros(2), cfg, spawn_stream(12, "directions"))
+        zo_gradient(lambda th: 0.0, np.zeros(2), cfg,
+                    sample_directions(cfg.d, cfg.s2, cfg.q, spawn_stream(12, "directions")))
     # The floor scales with the iterate: 1e-12 * (1 + 1e4) ~ 1.0001e-8 at
     # theta = 1e4 * e_1, so mu = 1e-8 is below it and mu = 2e-8 above it.
     theta = np.array([1e4, 0.0])
     with pytest.raises(ValueError, match="numeric floor"):
         zo_gradient(lambda th: 0.0, theta, ZoEstimatorConfig(q=1, s2=1, mu=1e-8, d=2),
-                    spawn_stream(12, "directions"))
+                    sample_directions(2, 1, 1, spawn_stream(12, "directions")))
     g = zo_gradient(lambda th: 0.0, theta, ZoEstimatorConfig(q=1, s2=1, mu=2e-8, d=2),
-                    spawn_stream(12, "directions"))
+                    sample_directions(2, 1, 1, spawn_stream(12, "directions")))
     np.testing.assert_array_equal(g, [0.0, 0.0])
 
 
@@ -342,7 +352,8 @@ def test_non_finite_theta_refused_before_any_query(bad):
     theta = np.array([0.5, bad, 0.0, 1.0])
     seen = []
     with pytest.raises(ValueError, match="theta is not finite") as exc:
-        zo_gradient(seen.append, theta, cfg, spawn_stream(12, "directions"))
+        zo_gradient(seen.append, theta, cfg,
+                    sample_directions(cfg.d, cfg.s2, cfg.q, spawn_stream(12, "directions")))
     assert not isinstance(exc.value, NonFiniteValueError)
     assert seen == []
 
@@ -355,7 +366,7 @@ def test_non_finite_value_carries_point():
             lambda th: float("nan") if th[0] != 0.5 else 1.0,
             np.array([0.5, 0.5]),
             cfg,
-            rng,
+            sample_directions(cfg.d, cfg.s2, cfg.q, rng),
         )
     assert exc.value.point.shape == (2,)
 
@@ -365,7 +376,7 @@ def test_non_finite_value_carries_point():
     values, support = sample_directions(5, 2, 4, spawn_stream(13, "directions"))
     with pytest.raises(NonFiniteValueError) as exc:
         zo_gradient(lambda th: float("nan") if th[2] != 0.5 else 1.0,
-                    theta, cfg, None, directions=(values, support))
+                    theta, cfg, directions=(values, support))
     bad = next(i for i in range(4) if 2 in support[i])
     expected = densify((values, support), 5)[bad] * 0.1 + theta
     assert exc.value.point.tobytes() == expected.tobytes()
@@ -385,7 +396,7 @@ def test_non_finite_value_carries_point():
             return float("nan") if len(seen) == bad + 2 else 1.0
 
         with pytest.raises(NonFiniteValueError) as exc:
-            zo_gradient(f, theta, cfg, None, directions=directions)
+            zo_gradient(f, theta, cfg, directions=directions)
         assert exc.value.point.tobytes() == seen[bad + 1].tobytes()
         assert exc.value.point.tobytes() == (dense[bad] * 0.1 + theta).tobytes()
 
@@ -414,7 +425,7 @@ def test_probe_values_convert_as_item_assignment(convert):
     def f(th):
         return convert(float(th.dot(th)) - 0.2)
 
-    g = zo_gradient(f, theta, cfg, None, directions=directions)
+    g = zo_gradient(f, theta, cfg, directions=directions)
     want = _item_assignment_reference(f, theta, directions, cfg.mu)
     assert g.tobytes() == want.tobytes()
 
@@ -432,7 +443,7 @@ def test_infinite_probe_value_raised_at_every_position(bad):
             return bad if len(seen) == pos + 2 else 1.0
 
         with pytest.raises(NonFiniteValueError) as exc:
-            zo_gradient(f, theta, cfg, None, directions=directions)
+            zo_gradient(f, theta, cfg, directions=directions)
         assert exc.value.value == bad
         assert exc.value.point.tobytes() == seen[pos + 1].tobytes()
 
@@ -448,7 +459,7 @@ def test_finite_probe_values_whose_sum_overflows_are_accepted(sign):
 
     assert not math.isfinite(sum(f(p) for p in cfg.mu * directions + theta))
     with np.errstate(over="ignore"):  # the finiteness pre-check's sum overflows
-        g = zo_gradient(f, theta, cfg, None, directions=directions)
+        g = zo_gradient(f, theta, cfg, directions=directions)
     want = _item_assignment_reference(f, theta, directions, cfg.mu)
     assert g.tobytes() == want.tobytes()
     assert np.all(np.isfinite(g)) and np.any(g != 0.0)
@@ -458,7 +469,7 @@ def test_probe_value_of_shape_1_is_refused():
     cfg = ZoEstimatorConfig(q=3, s2=2, mu=0.1, d=2)
     with pytest.raises(ValueError):
         zo_gradient(lambda th: np.array([1.0]), np.zeros(2), cfg,
-                    spawn_stream(21, "directions"))
+                    sample_directions(cfg.d, cfg.s2, cfg.q, spawn_stream(21, "directions")))
 
 
 def test_non_finite_probe_raised_after_all_calls_in_order():
@@ -473,7 +484,7 @@ def test_non_finite_probe_raised_after_all_calls_in_order():
             return float("nan") if len(seen) == bad + 2 else 1.0
 
         with pytest.raises(NonFiniteValueError) as exc:
-            zo_gradient(f, theta, cfg, None, directions=directions)
+            zo_gradient(f, theta, cfg, directions=directions)
         assert len(seen) == cfg.q + 1
         assert seen[0].tobytes() == theta.tobytes()
         points = 0.1 * directions + theta
@@ -490,7 +501,7 @@ def test_non_finite_probe_raised_after_all_calls_in_order():
         return np.float32("inf") if len(seen) == 1 else float("nan")
 
     with pytest.raises(NonFiniteValueError) as exc:
-        zo_gradient(g, theta, cfg, None, directions=directions)
+        zo_gradient(g, theta, cfg, directions=directions)
     assert len(seen) == cfg.q + 1
     assert exc.value.point.tobytes() == theta.tobytes()
     assert type(exc.value.value) is np.float32
@@ -504,7 +515,8 @@ def test_non_finite_value_message_is_a_plain_float(bad, text):
     theta = np.array([0.5, 0.5])
     with pytest.raises(NonFiniteValueError) as exc:
         zo_gradient(lambda th: 1.0 if th.tobytes() == theta.tobytes() else bad,
-                    theta, cfg, spawn_stream(13, "directions"))
+                    theta, cfg,
+                    sample_directions(cfg.d, cfg.s2, cfg.q, spawn_stream(13, "directions")))
     assert str(exc.value) == "non-finite objective value %s" % text
 
 
@@ -516,7 +528,8 @@ def test_full_gradient_reduces_to_single_for_n_1():
         problem, cfg, spawn_stream(15, "directions")
     ).full(theta).mean(axis=0)
     single = zo_gradient(
-        lambda th: problem.component(0, th), theta, cfg, spawn_stream(15, "directions")
+        lambda th: problem.component(0, th), theta, cfg,
+        sample_directions(cfg.d, cfg.s2, cfg.q, spawn_stream(15, "directions"))
     )
     np.testing.assert_array_equal(full, single)
 
@@ -534,9 +547,9 @@ def test_estimator_takes_directions_from_blocks(monkeypatch, n, d, s2, q):
     used, blocks = [], []
     gradient, sampler = zoht.vr.zo_gradient, zoht.vr.sample_directions
 
-    def record_gradient(f, theta, cfg, rng, directions=None):
+    def record_gradient(f, theta, cfg, directions):
         used.append(directions)
-        return gradient(f, theta, cfg, rng, directions)
+        return gradient(f, theta, cfg, directions)
 
     def record_sampler(d_, s2_, rows, rng):
         blocks.append(rows * s2_)
