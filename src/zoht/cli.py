@@ -96,7 +96,6 @@ def _add_run_options(sub, k, q, mu, m, budget, eta_grid):
                      default=DEFAULT_ALGOS)
     sub.add_argument("--p", type=int, default=1, help="memory update rate")
     sub.add_argument("--law", choices=UPDATE_LAWS, default=LAW_P_SAGA)
-    sub.add_argument("--select", choices=["final", "min"], default="final")
     sub.add_argument("--workers", type=_int_at_least(1, "workers"), default=1)
     sub.add_argument("--svg", action="store_true", help="also emit SVG charts")
     sub.add_argument("--out", required=True, help="output directory")
@@ -164,7 +163,6 @@ def _cmd_run(args):
         m=m,
         p=args.p,
         law=args.law,
-        select=args.select,
         problem_name=problem_name,
     )
     result = run_experiment(spec, workers=args.workers)

@@ -46,7 +46,6 @@ class ExperimentSpec:
     m: int = None
     p: int = 1
     law: str = LAW_P_SAGA
-    select: str = "final"           # best-eta rule: "final" | "min"
     problem_name: str = "problem"
 
     def __post_init__(self):
@@ -65,8 +64,6 @@ class ExperimentSpec:
             if other != token:
                 raise ValueError("algorithm tokens %r and %r both name %s"
                                  % (other, token, ALGO_TOKENS[token]))
-        if self.select not in ("final", "min"):
-            raise ValueError("select must be 'final' or 'min'")
 
 
 @dataclass
@@ -126,13 +123,13 @@ def _aggregate(traces, axis):
     return grid, resampled.mean(axis=0), resampled.std(axis=0)
 
 
-def _eta_score(spec, traces):
-    """Grid-search metric: mean final fval ("final") or the minimum of
-    the seed-averaged curve ("min")."""
-    if spec.select == "final":
-        return float(np.mean([tr.rows[-1][2] for tr in traces]))
-    _, mean_curve, _ = _aggregate(traces, "izo")
-    return float(mean_curve.min())
+def _eta_score(traces):
+    """Grid-search metric: the mean final fval over the seeds, or inf when
+    every seed diverged, so such an eta wins only if every eta diverged and
+    the tie rule then picks the smallest."""
+    if all(tr.diverged for tr in traces):
+        return np.inf
+    return float(np.mean([tr.rows[-1][2] for tr in traces]))
 
 
 def select_best_eta(scores):
@@ -146,11 +143,10 @@ def select_best_eta(scores):
 
 def run_experiment(spec, workers=1):
     """Execute every (algorithm, eta, seed) cell, pick each algorithm's
-    best eta (ties to the smaller eta), and aggregate mean +- std curves
-    on common IZO and NHT grids. Divergent cells are kept, flagged, and
-    excluded from selection only if every seed diverged. workers < 1, or a
-    budget too small for any cell's first step, is refused before the first
-    cell runs."""
+    best eta by ``_eta_score`` and ``select_best_eta``, and aggregate
+    mean +- std curves on common IZO and NHT grids. Divergent cells are
+    kept and flagged. workers < 1, or a budget too small for any cell's
+    first step, is refused before the first cell runs."""
     if workers < 1:
         raise ValueError("workers must be >= 1, got %r" % (workers,))
     cells = [
@@ -179,14 +175,8 @@ def run_experiment(spec, workers=1):
 
     best_eta = {}
     for token in spec.algorithms:
-        scores = {}
-        for eta in spec.eta_grid:
-            group = [traces[(token, eta, seed)] for seed in spec.seeds]
-            if all(tr.diverged for tr in group):
-                continue
-            scores[eta] = _eta_score(spec, group)
-        if not scores:  # every eta diverged; fall back to the smallest
-            scores = {min(spec.eta_grid): np.inf}
+        scores = {eta: _eta_score([traces[(token, eta, seed)] for seed in spec.seeds])
+                  for eta in spec.eta_grid}
         best_eta[token] = select_best_eta(scores)
 
     curves = {"izo": {}, "nht": {}}
@@ -240,7 +230,6 @@ def emit_csv(result, out_dir):
         if spec.p is not None:
             fh.write("p=%d\n" % spec.p)
         fh.write("law=%s\n" % spec.law)
-        fh.write("select=%s\n" % spec.select)
         fh.write("rng=%s\n" % RNG_DESCRIPTION)
         fh.write("note=%s\n" % EPS_IC_TYPO_NOTE)
         for token in spec.algorithms:

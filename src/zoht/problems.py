@@ -29,6 +29,11 @@ class RidgeProblem(FunctionOracle):
         y = np.array(y, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] < 1 or y.shape != (X.shape[0],):
             raise ValueError("X must be (n, d) with n >= 1 and y must be (n,)")
+        for name, values in (("X", X), ("y", y)):
+            bad = np.argwhere(~np.isfinite(values))
+            if len(bad):
+                raise ValueError("%s must be finite, got %s[%s]=%s" % (
+                    name, name, ", ".join(map(str, bad[0])), values[tuple(bad[0])]))
         if lam < 0:
             raise ValueError("lambda must be >= 0, got lambda=%s" % lam)
         if not math.isfinite(lam):

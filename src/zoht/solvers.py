@@ -26,6 +26,7 @@ vr-szht or (J_max+1)(q+1) for pm-szht (J_max = p under p-saga, n under
 svrg-variant), so every run takes a step.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,8 @@ class SolverConfig:
             raise ValueError("pm-szht needs the memory update rate p")
         if self.law not in UPDATE_LAWS:
             raise ValueError("unknown update law %r" % self.law)
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError("seed must be an integer, got %r" % (self.seed,))
         if self.seed < 0:
             raise ValueError("seed must be >= 0, got %d" % self.seed)
 

@@ -53,7 +53,7 @@ CLI_RUNS = {
     "ridge-sparse-svrg": [
         "ridge-synthetic", "--n", "6", "--d", "30", "--s2", "4", "--q", "20",
         "--budget", "1500", "--seeds", "1,2", "--eta-grid", "0.05,0.5", "--p", "2",
-        "--law", "svrg-variant", "--select", "min",
+        "--law", "svrg-variant",
     ],
 }
 

@@ -171,6 +171,19 @@ def test_check_theory_has_no_mu_or_m(capsys):
     assert "error: unrecognized arguments: --mu 1e-4 --m 10\n" in captured.err
 
 
+def test_run_has_no_select(tmp_path, capsys):
+    # One best-eta rule (mean final fval over the seeds), so no option
+    # chooses another.
+    with pytest.raises(SystemExit) as exc:
+        main(["ridge-synthetic", "--budget", "3000", "--seeds", "1",
+              "--eta-grid", "0.01", "--algos", "szoht", "--select", "min",
+              "--out", str(tmp_path / "run")])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --select min\n" in captured.err
+
+
 def test_single_run_writes_three_files(tmp_path, capsys):
     out = tmp_path / "run"
     code = main([

@@ -68,8 +68,6 @@ def test_spec_validation():
         _tiny_spec(algorithms=[])
     with pytest.raises(ValueError):
         _tiny_spec(algorithms=["bogus"])
-    with pytest.raises(ValueError):
-        _tiny_spec(select="middle")
     # an exact repeat would run its cells twice and weight them double in
     # eta scores and curves
     for repeat in (dict(seeds=[1, 1, 2]), dict(eta_grid=[0.01, 0.01]),
@@ -99,6 +97,9 @@ def test_bad_p_or_law_fails_before_first_cell(monkeypatch):
     # seed 1 comes first, so a late check would run its cells
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         run_experiment(_tiny_spec(algorithms=algos, m=2, seeds=[1, -1]))
+    # int(1.5) would run seed 1's streams a second time
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        run_experiment(_tiny_spec(algorithms=algos, m=2, seeds=[1, 1.5]))
     with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
         run_experiment(_tiny_spec(algorithms=algos, m=2), workers=0)
     assert calls == []
@@ -238,6 +239,11 @@ def test_divergent_cell_not_fatal():
     result = run_experiment(spec)
     assert len(result.diverged_cells()) == 2  # both seeds at the huge eta
     assert result.best_eta["szoht"] == 0.02
+    # every eta diverged: all score inf and the tie goes to the smallest
+    spec = _tiny_spec(eta_grid=[1e9, 1e10], algorithms=["szoht", "vr"], m=2)
+    result = run_experiment(spec)
+    assert len(result.diverged_cells()) == 8
+    assert result.best_eta == {"szoht": 1e9, "vr": 1e9}
 
 
 def test_svg_valid_and_constant_curve_horizontal(tmp_path):

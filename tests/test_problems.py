@@ -225,6 +225,10 @@ def test_attack_problem_validation():
         attack_surrogate_problem(0, 48, 10, spawn_stream(0, "data-gen"))
     with pytest.raises(ValueError, match="n >= 1"):
         RidgeProblem(np.zeros((0, 4)), np.zeros(0), 0.1)
+    with pytest.raises(ValueError, match=r"X must be finite, got X\[0, 0\]=nan"):
+        RidgeProblem([[np.nan, 1], [1, 2]], [1, np.inf], 0.1)
+    with pytest.raises(ValueError, match=r"y must be finite, got y\[1\]=inf"):
+        RidgeProblem([[1, 1], [1, 2]], [1, np.inf], 0.1)
 
 
 # -- bit pins for the oracles' fast paths -------------------------------------
