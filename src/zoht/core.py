@@ -62,8 +62,10 @@ class FunctionOracle:
 
     Cost, for people who write a black box: a zeroth-order estimate calls
     ``component`` once per IZO, through ``map`` over the probe rows, and
-    the default ``mean_value`` calls it n more times per solver step for
-    the divergence guard. On small inputs (tens of coordinates or classes)
+    the default ``mean_value`` calls it n more times per distinct iterate
+    for the divergence guard (a step that repeats theta bytewise keeps its
+    F, so ``component`` must be a function of (i, theta), as reproducible
+    runs already require). On small inputs (tens of coordinates or classes)
     numpy's per-call overhead, not the arithmetic, sets that cost: even an
     extra Python frame or an ``X[i]`` view per call is a measurable share
     of it (``RidgeProblem`` caches its rows for that). A numpy reduction

@@ -69,6 +69,11 @@ class SolverConfig:
     shared_directions: bool = False
 
     def __post_init__(self):
+        for name in ("k", "izo_budget", "seed", "m", "p"):
+            value = getattr(self, name)
+            optional = value is None and name in ("m", "p")
+            if not (optional or isinstance(value, numbers.Integral)):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
         if self.algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm %r" % self.algorithm)
         if not self.eta >= 0:
@@ -81,8 +86,6 @@ class SolverConfig:
             raise ValueError("pm-szht needs the memory update rate p")
         if self.law not in UPDATE_LAWS:
             raise ValueError("unknown update law %r" % self.law)
-        if not isinstance(self.seed, numbers.Integral):
-            raise ValueError("seed must be an integer, got %r" % (self.seed,))
         if self.seed < 0:
             raise ValueError("seed must be >= 0, got %d" % self.seed)
 
@@ -153,7 +156,9 @@ class _Run:
         self.trace = RunTrace(rows=[], final_theta=None, config=cfg, izo=0, nht=0)
         self.fval = oracle.mean_value(self.theta)
         if not np.isfinite(self.fval):
-            raise ValueError("objective is non-finite at the initial point")
+            raise ValueError(
+                "objective is non-finite at the initial point: %r" % float(self.fval)
+            )
         self.guard_level = DIVERGENCE_FACTOR * (1.0 + abs(self.fval))
         self._record()
 
@@ -177,10 +182,14 @@ class _Run:
         return int(self.idx_rng.integers(self.oracle.n))
 
     def descend(self, grad):
-        """Step, threshold (1 NHT), evaluate F once: record it or trip the guard."""
-        self.theta = hard_threshold(self.theta - self.cfg.eta * grad, self.cfg.k)
+        """Step, threshold (1 NHT), record F or trip the guard. F is taken once
+        per distinct iterate: a bytewise repeat keeps the held fval, since F
+        is a function of theta (see FunctionOracle)."""
+        theta = hard_threshold(self.theta - self.cfg.eta * grad, self.cfg.k)
         self.trace.nht += 1
-        self.fval = self.oracle.mean_value(self.theta)
+        if theta.tobytes() != self.theta.tobytes():
+            self.theta = theta
+            self.fval = self.oracle.mean_value(theta)
         self.trace.diverged = not self._record()
 
     def _szoht(self):

@@ -19,6 +19,7 @@ directions of many estimates with one ``sample_directions`` call (up to
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ class ZoEstimatorConfig:
     d: int           # ambient dimension
 
     def __post_init__(self):
+        for name in ("q", "s2", "d"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
         if self.q < 1:
             raise ValueError("q must be >= 1, got %d" % self.q)
         if not 1 <= self.s2 <= self.d:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -301,30 +302,86 @@ class CountingRidge(RidgeProblem):
         return super().mean_value(theta)
 
 
+def _log_thresholds(monkeypatch, log):
+    """Route solvers' hard_threshold through a wrapper that appends each
+    output to ``log``."""
+
+    def logging_threshold(v, k):
+        log.append(hard_threshold(v, k))
+        return log[-1]
+
+    monkeypatch.setattr("zoht.solvers.hard_threshold", logging_threshold)
+
+
+def _moved(iterates):
+    """Number of iterates that differ bytewise from the one before."""
+    return sum(a.tobytes() != b.tobytes() for a, b in zip(iterates, iterates[1:]))
+
+
 def test_component_and_threshold_calls_match_trace(monkeypatch):
     # the tier-1 twin of the traced benchmark's self-check: one component
     # call per IZO and one hard_threshold call per NHT; and one mean_value
-    # call per iterate (theta = 0 and one per NHT)
+    # call per distinct iterate: theta = 0, then each step whose output
+    # differs bytewise from the iterate before (here every step does)
     base = ridge_synthetic(6, 5, 0.3, spawn_stream(9, "data-gen"))
     zo = ZoEstimatorConfig(q=7, s2=5, mu=1e-4, d=5)
-    thresholds = []
-
-    def counting_threshold(v, k):
-        thresholds.append(k)
-        return hard_threshold(v, k)
-
-    monkeypatch.setattr("zoht.solvers.hard_threshold", counting_threshold)
+    iterates = []
+    _log_thresholds(monkeypatch, iterates)
     algos = ("szoht", "fgzoht", "pm-szht", "vr-szht", "sarah-szht")
     for algo, shared in itertools.product(algos, (False, True)):
         problem = CountingRidge(base.X, base.y, base.lam)
-        thresholds.clear()
+        iterates[:] = [np.zeros(5)]
         cfg = _cfg(algo, eta=0.05, k=3, zo=zo, budget=600, seed=4, m=3, p=2,
                    shared_directions=shared)
         trace = run_solver(problem, cfg)
         assert not trace.diverged
         assert problem.calls == trace.izo > 0
-        assert len(thresholds) == trace.nht == trace.column("nht")[-1] > 0
-        assert problem.values == trace.nht + 1
+        assert len(iterates) - 1 == trace.nht == trace.column("nht")[-1] > 0
+        assert _moved(iterates) == trace.nht
+        assert problem.values == 1 + _moved(iterates)
+
+
+@pytest.mark.parametrize("algo", ("szoht", "fgzoht", "pm-szht", "vr-szht", "sarah-szht"))
+def test_k_zero_evaluates_the_objective_once(monkeypatch, algo):
+    # k = 0 thresholds every step to theta = 0, the iterate F was taken at
+    base = ridge_synthetic(6, 5, 0.3, spawn_stream(9, "data-gen"))
+    problem = CountingRidge(base.X, base.y, base.lam)
+    iterates = [np.zeros(5)]
+    _log_thresholds(monkeypatch, iterates)
+    zo = ZoEstimatorConfig(q=7, s2=5, mu=1e-4, d=5)
+    trace = run_solver(problem, _cfg(algo, eta=0.05, k=0, zo=zo, budget=600, seed=4,
+                                     m=3, p=2))
+    assert len(iterates) - 1 == trace.nht > 0
+    assert _moved(iterates) == 0
+    assert problem.values == 1
+    f0 = base.mean_value(np.zeros(5))
+    assert all(fval == f0 for fval in trace.column("fval"))
+
+
+def test_repeated_iterate_keeps_held_fval_at_hinge_floor(monkeypatch):
+    # szoht on the attack: a sampled component at its hinge floor gives an
+    # all-zero estimate, so many steps repeat the iterate; F is evaluated
+    # only at those that move, and each row's fval is F at its iterate
+    problem = attack_surrogate_problem(4, 48, 10, spawn_stream(0, "data-gen"))
+    mean_value = problem.mean_value
+    evaluated = []
+
+    def counting_mean_value(theta):
+        evaluated.append(theta)
+        return mean_value(theta)
+
+    problem.mean_value = counting_mean_value
+    iterates = [np.zeros(48)]
+    _log_thresholds(monkeypatch, iterates)
+    zo = ZoEstimatorConfig(q=10, s2=48, mu=1e-3, d=48)
+    trace = run_solver(problem, _cfg("szoht", eta=0.01, k=6, zo=zo, budget=600, seed=1))
+    assert not trace.diverged
+    assert len(iterates) - 1 == trace.nht == len(trace.rows) - 1
+    assert 0 < _moved(iterates) < trace.nht
+    assert len(evaluated) == 1 + _moved(iterates)
+    for row, theta in zip(trace.rows, iterates):
+        assert row[2] == mean_value(theta)
+    np.testing.assert_array_equal(trace.final_theta, iterates[-1])
 
 
 def test_izo_overcharge_caught_at_end_of_run(monkeypatch):
@@ -576,6 +633,36 @@ def test_config_validation():
         SolverConfig(algorithm="pm-szht", eta=0.1, k=2, zo=zo, izo_budget=100, seed=0)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         SolverConfig(algorithm="szoht", eta=0.1, k=2, zo=zo, izo_budget=100, seed=-1)
+    # numpy integers are integers; m and p may stay unset
+    SolverConfig(algorithm="szoht", eta=0.1, k=np.int64(2), zo=zo,
+                 izo_budget=np.int64(100), seed=np.uint8(0), m=None, p=None)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("q", 10.0), ("s2", 48.0), ("d", 48.0), ("k", 2.0), ("k", "2"),
+    ("izo_budget", 600.0), ("m", 3.0), ("p", 2.0), ("seed", 1.5),
+])
+def test_counts_must_be_integers(field, value):
+    # refused where the config is built, not deep inside a run (a float q
+    # ran until numpy refused it; a float budget printed truncated)
+    zo_kw = dict(q=10, s2=48, mu=1e-3, d=48)
+    cfg_kw = dict(algorithm="pm-szht", eta=0.01, k=2, izo_budget=600, seed=1, m=3, p=2)
+    (zo_kw if field in zo_kw else cfg_kw)[field] = value
+    with pytest.raises(ValueError, match="^%s must be an integer, got %s$"
+                       % (field, re.escape(repr(value)))):
+        SolverConfig(zo=ZoEstimatorConfig(**zo_kw), **cfg_kw)
+
+
+@pytest.mark.parametrize("bad, text", [
+    (np.float64("nan"), "nan"), (np.float32("inf"), "inf"), (float("-inf"), "-inf"),
+])
+def test_non_finite_initial_objective_names_its_value(bad, text):
+    oracle = RepeatedQuadratic(np.zeros(3), 2)
+    oracle.mean_value = lambda theta: bad
+    zo = ZoEstimatorConfig(q=3, s2=3, mu=1e-4, d=3)
+    with pytest.raises(ValueError) as exc:
+        run_solver(oracle, _cfg("szoht", eta=0.1, k=2, zo=zo, budget=100, seed=0))
+    assert str(exc.value) == "objective is non-finite at the initial point: %s" % text
 
 
 def test_sarah_thresholds_every_inner_step():
