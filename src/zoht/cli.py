@@ -14,8 +14,9 @@ import argparse
 import sys
 
 from .core import spawn_stream
-from .harness import ALGO_TOKENS, ExperimentSpec, emit_csv, emit_svg, run_experiment
+from .harness import ExperimentSpec, emit_csv, emit_svg, run_experiment
 from .problems import attack_surrogate_problem, ridge_from_csv, ridge_synthetic
+from .solvers import ALGORITHMS
 from .theory import (
     TheoryParams,
     alpha,
@@ -29,7 +30,7 @@ from .theory import (
 from .vr import LAW_P_SAGA, UPDATE_LAWS
 from .zo import ZoEstimatorConfig
 
-DEFAULT_ALGOS = "fgzoht,szoht,vr,saga,sarah"
+DEFAULT_ALGOS = "fgzoht,szoht,vr-szht,pm-szht,sarah-szht"
 DEFAULT_ETA_GRID = "0.005,0.01,0.05,0.1,0.5"
 CSV_ETA_GRID = ",".join("1e-%d" % i for i in range(1, 8))
 ATTACK_ETA_GRID = "0.001,0.005,0.01,0.05"
@@ -55,15 +56,15 @@ def _int_at_least(least, name):
     return parse
 
 
-def _algo(token):
-    if token not in ALGO_TOKENS:
+def _algo(name):
+    if name not in ALGORITHMS:
         raise argparse.ArgumentTypeError(
-            "unknown algorithm %r (known: %s)" % (token, ",".join(sorted(ALGO_TOKENS))))
-    return token
+            "unknown algorithm %r (known: %s)" % (name, ",".join(ALGORITHMS)))
+    return name
 
 
-def _comma_list(convert, key=None):
-    """argparse type of a list flag: comma-separated, no ``key`` twice."""
+def _comma_list(convert):
+    """argparse type of a list flag: comma-separated, no value twice."""
     def parse(text):
         values, seen = [], {}
         for token in filter(None, map(str.strip, text.split(","))):
@@ -71,11 +72,10 @@ def _comma_list(convert, key=None):
                 value = convert(token)
             except ValueError as exc:  # float() names the token
                 raise argparse.ArgumentTypeError(str(exc)) from None
-            name = value if key is None else key(value)
-            if name in seen:
+            if value in seen:
                 raise argparse.ArgumentTypeError(
-                    "entries %r and %r both name %s" % (seen[name], token, name))
-            seen[name] = token
+                    "entries %r and %r both name %s" % (seen[value], token, value))
+            seen[value] = token
             values.append(value)
         return values
     return parse
@@ -92,8 +92,7 @@ def _add_run_options(sub, k, q, mu, m, budget, eta_grid):
     sub.add_argument("--budget", type=int, default=budget)
     sub.add_argument("--seeds", type=_comma_list(_int_at_least(0, "seed")), default=[1, 2, 3])
     sub.add_argument("--eta-grid", type=_comma_list(float), default=eta_grid)
-    sub.add_argument("--algos", type=_comma_list(_algo, ALGO_TOKENS.get),
-                     default=DEFAULT_ALGOS)
+    sub.add_argument("--algos", type=_comma_list(_algo), default=DEFAULT_ALGOS)
     sub.add_argument("--p", type=int, default=1, help="memory update rate")
     sub.add_argument("--law", choices=UPDATE_LAWS, default=LAW_P_SAGA)
     sub.add_argument("--workers", type=_int_at_least(1, "workers"), default=1)
@@ -170,8 +169,8 @@ def _cmd_run(args):
     if args.svg:
         paths.append(emit_svg(result, "izo", args.out))
         paths.append(emit_svg(result, "nht", args.out))
-    for token in spec.algorithms:
-        print("%s: best eta %g" % (token, result.best_eta[token]))
+    for algo in spec.algorithms:
+        print("%s: best eta %g" % (algo, result.best_eta[algo]))
     diverged = result.diverged_cells()
     if diverged:
         print("diverged cells: %d" % len(diverged))

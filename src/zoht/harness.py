@@ -13,23 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RNG_DESCRIPTION
-from .solvers import SolverConfig, check_budget, run_solver
+from .solvers import ALGORITHMS, SolverConfig, check_budget, run_solver
 from .theory import EPS_IC_TYPO_NOTE
 from .vr import LAW_P_SAGA
 from .zo import ZoEstimatorConfig
-
-# CLI tokens for the solver line-up.
-ALGO_TOKENS = {
-    "fgzoht": "fgzoht",
-    "szoht": "szoht",
-    "vr": "vr-szht",
-    "saga": "pm-szht",
-    "sarah": "sarah-szht",
-    # full names accepted too
-    "pm-szht": "pm-szht",
-    "vr-szht": "vr-szht",
-    "sarah-szht": "sarah-szht",
-}
 
 SVG_FLOOR = 1e-16
 
@@ -55,31 +42,26 @@ class ExperimentSpec:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ValueError("%s repeats an entry: %s" % (name, values))
-        bad = [a for a in self.algorithms if a not in ALGO_TOKENS]
+        bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
-            raise ValueError("unknown algorithm token(s) %s" % bad)
-        named = {}
-        for token in self.algorithms:
-            other = named.setdefault(ALGO_TOKENS[token], token)
-            if other != token:
-                raise ValueError("algorithm tokens %r and %r both name %s"
-                                 % (other, token, ALGO_TOKENS[token]))
+            raise ValueError("unknown algorithm(s) %s (known: %s)"
+                             % (bad, ",".join(ALGORITHMS)))
 
 
 @dataclass
 class ExperimentResult:
     spec: ExperimentSpec
-    traces: dict                    # (token, eta, seed) -> RunTrace
-    best_eta: dict                  # token -> eta
-    curves: dict = field(default_factory=dict)  # axis -> token -> (grid, mean, std)
+    traces: dict                    # (algo, eta, seed) -> RunTrace
+    best_eta: dict                  # algo -> eta
+    curves: dict = field(default_factory=dict)  # axis -> algo -> (grid, mean, std)
 
     def diverged_cells(self):
         return sorted(key for key, tr in self.traces.items() if tr.diverged)
 
 
-def _solver_config(spec, token, eta, seed):
+def _solver_config(spec, algo, eta, seed):
     return SolverConfig(
-        algorithm=ALGO_TOKENS[token],
+        algorithm=algo,
         eta=eta,
         k=spec.k,
         zo=spec.zo,
@@ -150,8 +132,8 @@ def run_experiment(spec, workers=1):
     if workers < 1:
         raise ValueError("workers must be >= 1, got %r" % (workers,))
     cells = [
-        (token, eta, seed)
-        for token in spec.algorithms
+        (algo, eta, seed)
+        for algo in spec.algorithms
         for eta in spec.eta_grid
         for seed in spec.seeds
     ]
@@ -174,16 +156,16 @@ def run_experiment(spec, workers=1):
     traces = dict(zip(cells, outs))
 
     best_eta = {}
-    for token in spec.algorithms:
-        scores = {eta: _eta_score([traces[(token, eta, seed)] for seed in spec.seeds])
+    for algo in spec.algorithms:
+        scores = {eta: _eta_score([traces[(algo, eta, seed)] for seed in spec.seeds])
                   for eta in spec.eta_grid}
-        best_eta[token] = select_best_eta(scores)
+        best_eta[algo] = select_best_eta(scores)
 
     curves = {"izo": {}, "nht": {}}
-    for token in spec.algorithms:
-        group = [traces[(token, best_eta[token], seed)] for seed in spec.seeds]
+    for algo in spec.algorithms:
+        group = [traces[(algo, best_eta[algo], seed)] for seed in spec.seeds]
         for axis in ("izo", "nht"):
-            curves[axis][token] = _aggregate(group, axis)
+            curves[axis][algo] = _aggregate(group, axis)
     return ExperimentResult(spec=spec, traces=traces, best_eta=best_eta, curves=curves)
 
 
@@ -199,17 +181,17 @@ def emit_csv(result, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     spec = result.spec
     paths = []
-    for (token, eta, seed), tr in sorted(result.traces.items()):
-        name = "raw_%s_eta%s_seed%d.csv" % (token, _fmt(eta), seed)
+    for (algo, eta, seed), tr in sorted(result.traces.items()):
+        name = "raw_%s_eta%s_seed%d.csv" % (algo, _fmt(eta), seed)
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("izo,nht,fval,nnz\n")
             for izo, nht, fval, nz in tr.rows:
                 fh.write("%d,%d,%s,%d\n" % (izo, nht, _fmt(fval), nz))
         paths.append(path)
-    for token in spec.algorithms:
-        grid, mean, std = result.curves["izo"][token]
-        path = os.path.join(out_dir, "agg_%s.csv" % token)
+    for algo in spec.algorithms:
+        grid, mean, std = result.curves["izo"][algo]
+        path = os.path.join(out_dir, "agg_%s.csv" % algo)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("izo,mean_fval,std_fval\n")
             for x, m_, s_ in zip(grid, mean, std):
@@ -232,11 +214,11 @@ def emit_csv(result, out_dir):
         fh.write("law=%s\n" % spec.law)
         fh.write("rng=%s\n" % RNG_DESCRIPTION)
         fh.write("note=%s\n" % EPS_IC_TYPO_NOTE)
-        for token in spec.algorithms:
-            fh.write("best_eta_%s=%s\n" % (token, _fmt(result.best_eta[token])))
+        for algo in spec.algorithms:
+            fh.write("best_eta_%s=%s\n" % (algo, _fmt(result.best_eta[algo])))
         fh.write("diverged_cells=%s\n" % ";".join(
-            "%s,eta%s,seed%d" % (token, _fmt(eta), seed)
-            for token, eta, seed in result.diverged_cells()))
+            "%s,eta%s,seed%d" % (algo, _fmt(eta), seed)
+            for algo, eta, seed in result.diverged_cells()))
     paths.append(meta_path)
     return paths
 
@@ -266,12 +248,12 @@ def emit_svg(result, axis, out_dir):
     x_max = max(float(grid[-1]) for grid, _, _ in curves.values()) or 1.0
     y_lo, y_hi = np.inf, -np.inf
     prepared = {}
-    for token, (grid, mean, std) in curves.items():
+    for algo, (grid, mean, std) in curves.items():
         lo, fl1 = _log_floor(mean - std)
         hi, fl2 = _log_floor(mean + std)
         mid, fl3 = _log_floor(mean)
         floored_any = floored_any or fl1 or fl2 or fl3
-        prepared[token] = (np.asarray(grid, float), mid, lo, hi)
+        prepared[algo] = (np.asarray(grid, float), mid, lo, hi)
         y_lo = min(y_lo, float(np.min(lo)))
         y_hi = max(y_hi, float(np.max(hi)))
     ly_lo, ly_hi = np.log10(y_lo), np.log10(y_hi)
@@ -321,7 +303,7 @@ def emit_svg(result, axis, out_dir):
             % (px(x), _H - _PAD + 16, int(x))
         )
 
-    for idx, (token, (grid, mid, lo, hi)) in enumerate(sorted(prepared.items())):
+    for idx, (algo, (grid, mid, lo, hi)) in enumerate(sorted(prepared.items())):
         color = PALETTE[idx % len(PALETTE)]
         band = (
             polyline(grid, hi)
@@ -342,7 +324,7 @@ def emit_svg(result, axis, out_dir):
         )
         parts.append(
             '<text x="%d" y="%d" font-size="12">%s</text>'
-            % (_W - _PAD - 112, _PAD + 18 * idx + 10, token)
+            % (_W - _PAD - 112, _PAD + 18 * idx + 10, algo)
         )
     if floored_any:
         parts.append(

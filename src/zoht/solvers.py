@@ -76,8 +76,8 @@ class SolverConfig:
                 raise ValueError("%s must be an integer, got %r" % (name, value))
         if self.algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm %r" % self.algorithm)
-        if not self.eta >= 0:
-            raise ValueError("eta must be >= 0, got eta=%s" % self.eta)
+        if not 0 <= self.eta < np.inf:
+            raise ValueError("eta must be finite and >= 0, got eta=%s" % self.eta)
         if not 0 <= self.k <= self.zo.d:
             raise ValueError("need 0 <= k <= d, got k=%s d=%s" % (self.k, self.zo.d))
         if self.algorithm in ("vr-szht", "sarah-szht") and (self.m is None or self.m < 1):
@@ -321,12 +321,12 @@ def gradient_squared_decomposition(
     into (variance, squared-mean) parts: E||g||^2 = Var + ||E g||^2 with
     both terms estimated from ``samples`` independent realizations.
 
-    ``estimator`` selects among the five constructions; ``exact`` swaps
-    the zeroth-order source for exact component gradients (diagnostic
-    mode). Snapshot and memory states are built once at theta, then held
-    fixed across samples. At a fixed theta a recursion step is the snapshot
-    estimator anchored at theta, so "sarah" draws exactly as "svrg" does.
-    Refused below 100 samples.
+    ``estimator`` is one of ``ALGORITHMS``; ``exact`` swaps the zeroth-order
+    source for exact component gradients (diagnostic mode). Snapshot and
+    memory states are built once at theta, then held fixed across samples.
+    At a fixed theta a recursion step is the snapshot estimator anchored at
+    theta, so sarah-szht draws exactly as vr-szht does. Refused below 100
+    samples.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
@@ -339,9 +339,9 @@ def gradient_squared_decomposition(
         source = ZoComponentEstimator(oracle, cfg, dir_rng, shared_directions)
 
     snapshot = memory = None
-    if estimator in ("svrg", "sarah"):
+    if estimator in ("vr-szht", "sarah-szht"):
         snapshot = take_snapshot(source, theta)
-    if estimator == "pm":
+    if estimator == "pm-szht":
         memory = init_gradient_memory(source, theta, p=1, law=LAW_P_SAGA)
 
     def draw():
@@ -350,11 +350,11 @@ def gradient_squared_decomposition(
         i = int(idx_rng.integers(oracle.n))
         if estimator == "szoht":
             return source.estimate(i, theta)
-        if estimator in ("svrg", "sarah"):
+        if estimator in ("vr-szht", "sarah-szht"):
             return svrg_gradient(snapshot, theta, i, source)
-        if estimator == "pm":
+        if estimator == "pm-szht":
             return pm_gradient(memory, theta, i, source)
-        raise ValueError("unknown estimator %r" % estimator)
+        raise ValueError("unknown estimator %r (known: %s)" % (estimator, ",".join(ALGORITHMS)))
 
     draws = np.stack([draw() for _ in range(samples)])
     mean_g = draws.mean(axis=0)

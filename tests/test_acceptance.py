@@ -207,7 +207,7 @@ def test_criterion_06_benchmark_ordering():
     problem = ridge_synthetic(10, 5, 0.5, spawn_stream(0, "data-gen"))
     spec = ExperimentSpec(
         problem=problem,
-        algorithms=["fgzoht", "szoht", "vr", "saga", "sarah"],
+        algorithms=["fgzoht", "szoht", "vr-szht", "pm-szht", "sarah-szht"],
         k=3,
         zo=ZoEstimatorConfig(q=200, s2=5, mu=1e-4, d=5),
         eta_grid=[0.005, 0.01, 0.05, 0.1, 0.5],
@@ -228,8 +228,8 @@ def test_criterion_06_benchmark_ordering():
     print("  best-eta mean final objective: %s"
           % {t: round(v, 6) for t, v in finals.items()})
     ok = (
-        finals["vr"] <= finals["szoht"]
-        and finals["saga"] <= finals["szoht"]
+        finals["vr-szht"] <= finals["szoht"]
+        and finals["pm-szht"] <= finals["szoht"]
         and finals["fgzoht"] <= finals["szoht"]
     )
     _report(6, "variance-reduced and full-gradient solvers reach at most the "

@@ -9,7 +9,13 @@ from zoht.cli import main
 from zoht.core import spawn_stream
 from zoht.problems import RidgeProblem, ridge_synthetic
 from zoht.solvers import SolverConfig
-from zoht.theory import TheoryParams, alpha, epsilon_constants, vrszht_eta_interval
+from zoht.theory import (
+    TheoryParams,
+    alpha,
+    epsilon_constants,
+    pm_eta_interval,
+    vrszht_eta_interval,
+)
 from zoht.zo import ZoEstimatorConfig
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -49,7 +55,8 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--seeds", "1,1", "entries '1' and '1' both name 1"),
-    ("--algos", "vr,vr-szht", "entries 'vr' and 'vr-szht' both name vr-szht"),
+    ("--algos", "vr-szht,vr-szht", "entries 'vr-szht' and 'vr-szht' both name vr-szht"),
+    ("--algos", "vr", "unknown algorithm 'vr' (known: fgzoht,szoht,pm-szht,vr-szht,sarah-szht)"),
     ("--eta-grid", "0.1,0.1", "entries '0.1' and '0.1' both name 0.1"),
     ("--eta-grid", "0.1,x", "could not convert string to float: 'x'"),
     ("--seeds", "1,x", "invalid literal for int() with base 10: 'x'"),
@@ -80,8 +87,10 @@ def _solver_config(algorithm="szoht", eta=0.01, k=3, m=10):
     (["ridge-synthetic", "--k", "9"], lambda: _solver_config(k=9),
      "need 0 <= k <= d, got k=9 d=5"),
     (["ridge-synthetic", "--eta-grid", "nan"], lambda: _solver_config(eta=float("nan")),
-     "eta must be >= 0, got eta=nan"),
-    (["ridge-synthetic", "--algos", "vr", "--m", "0"],
+     "eta must be finite and >= 0, got eta=nan"),
+    (["ridge-synthetic", "--eta-grid", "0.01,inf"], lambda: _solver_config(eta=float("inf")),
+     "eta must be finite and >= 0, got eta=inf"),
+    (["ridge-synthetic", "--algos", "vr-szht", "--m", "0"],
      lambda: _solver_config(algorithm="vr-szht", m=0), "vr-szht needs m >= 1, got m=0"),
     (["ridge-synthetic", "--n", "0"],
      lambda: ridge_synthetic(0, 5, 0.5, spawn_stream(0, "data-gen")),
@@ -97,7 +106,14 @@ def _solver_config(algorithm="szoht", eta=0.01, k=3, m=10):
      lambda: TheoryParams(d=5, n=10, q=200, s2=5, k=3, kstar=4, rho_minus=0.5,
                           rho_plus=2.0),
      "need k >= kstar >= 0, got k=3 kstar=4"),
-], ids=["k", "eta", "m", "n", "lambda", "lambda-nan", "mu-inf", "kstar"])
+    (_THEORY_ARGV + ["--q", "0", "--k", "3", "--kstar", "1"],
+     lambda: TheoryParams(d=5, n=10, q=0, s2=5, k=3, kstar=1, rho_minus=0.5, rho_plus=2.0),
+     "q and n must be >= 1, got q=0 n=10"),
+    (_THEORY_ARGV + ["--n", "0", "--k", "3", "--kstar", "1"],
+     lambda: TheoryParams(d=5, n=0, q=200, s2=5, k=3, kstar=1, rho_minus=0.5, rho_plus=2.0),
+     "q and n must be >= 1, got q=200 n=0"),
+], ids=["k", "eta", "eta-inf", "m", "n", "lambda", "lambda-nan", "mu-inf", "kstar",
+        "theory-q", "theory-n"])
 def test_refusal_names_the_value_it_got(tmp_path, capsys, argv, refuse, message):
     with pytest.raises(ValueError) as exc:
         refuse()
@@ -159,6 +175,26 @@ def test_check_theory_matches_module(capsys):
     assert float(values["vr recommended eta"]) == pytest.approx(rec, rel=1e-8)
 
 
+def test_check_theory_without_alpha_prints_no_eta_interval(capsys):
+    assert main(_THEORY_ARGV + ["--k", "1", "--kstar", "1", "--p", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "alpha               : undefined (k <= kstar)\n" in out
+    assert "eta interval" not in out and "recommended eta" not in out
+
+
+def test_check_theory_prints_an_open_pm_interval(capsys):
+    # tests/test_theory.py's instance where the pm interval opens
+    tp = TheoryParams(d=30_100, n=10, q=1_000_000, s2=5, k=10_001, kstar=10_000,
+                      rho_minus=1.0, rho_plus=1.0, p=10)
+    assert main(["check-theory", "--d", "30100", "--n", "10", "--q", "1000000",
+                 "--s2", "5", "--k", "10001", "--kstar", "10000", "--rho-plus", "1.0",
+                 "--rho-minus", "1.0", "--p", "10"]) == 0
+    iv = pm_eta_interval(tp)
+    assert iv.nonempty
+    assert ("pm eta interval     : [%.9g, %.9g]  (discriminant %.9g)\n"
+            % (iv.lo, iv.hi, iv.discriminant)) in capsys.readouterr().out
+
+
 def test_check_theory_has_no_mu_or_m(capsys):
     # No formula reads a smoothing radius or an inner-loop length, so the
     # report takes neither; the run subcommands keep their own --mu and --m.
@@ -215,11 +251,11 @@ def test_ridge_csv_runs_on_toy_data(tmp_path, capsys):
         "ridge-csv", "--file", os.path.join(DATA, "toy_linear.csv"),
         "--target", "y", "--k", "1", "--q", "5", "--s2", "2",
         "--budget", "200", "--seeds", "2", "--eta-grid", "0.01,0.05",
-        "--algos", "szoht,vr", "--out", str(out),
+        "--algos", "szoht,vr-szht", "--out", str(out),
     ])
     assert code == 0
     assert "best eta" in capsys.readouterr().out
-    assert any(n.startswith("raw_vr_") for n in os.listdir(out))
+    assert any(n.startswith("raw_vr-szht_") for n in os.listdir(out))
 
 
 def test_attack_surrogate_smoke(tmp_path, capsys):
@@ -242,7 +278,7 @@ def test_defaults_match_benchmark_protocol():
     assert args.budget == 80_000
     assert args.seeds == [1, 2, 3]
     assert args.eta_grid == [0.005, 0.01, 0.05, 0.1, 0.5]
-    assert args.algos == ["fgzoht", "szoht", "vr", "saga", "sarah"]
+    assert args.algos == ["fgzoht", "szoht", "vr-szht", "pm-szht", "sarah-szht"]
 
     args = build_parser().parse_args(
         ["ridge-csv", "--file", "f", "--target", "t", "--out", "x"]

@@ -37,6 +37,12 @@ def test_full_subset_forced():
     np.testing.assert_array_equal(random_subset(rng, 5, 5), np.arange(5))
 
 
+@pytest.mark.parametrize("m", [-1, 6])
+def test_subset_size_out_of_range_refused(m):
+    with pytest.raises(ValueError, match="^subset size %d out of range for n=5$" % m):
+        random_subset(spawn_stream(3, "memory-sets"), 5, m)
+
+
 def test_subset_sorted_and_unique():
     rng = spawn_stream(4, "memory-sets")
     for _ in range(200):

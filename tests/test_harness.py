@@ -1,4 +1,5 @@
 import os
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from zoht.harness import (
     step_resample,
 )
 from zoht.problems import ridge_synthetic
-from zoht.solvers import RunTrace
+from zoht.solvers import ALGORITHMS, RunTrace
 from zoht.zo import ZoEstimatorConfig
 
 
@@ -50,7 +51,7 @@ def _tiny_spec(**kw):
     problem = ridge_synthetic(5, 4, 0.3, spawn_stream(0, "data-gen"))
     base = dict(
         problem=problem,
-        algorithms=["szoht", "saga"],
+        algorithms=["szoht", "pm-szht"],
         k=2,
         zo=ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4),
         eta_grid=[0.01, 0.05],
@@ -71,21 +72,24 @@ def test_spec_validation():
     # an exact repeat would run its cells twice and weight them double in
     # eta scores and curves
     for repeat in (dict(seeds=[1, 1, 2]), dict(eta_grid=[0.01, 0.01]),
-                   dict(algorithms=["szoht", "saga", "szoht"])):
+                   dict(algorithms=["szoht", "pm-szht", "szoht"])):
         with pytest.raises(ValueError, match="repeats an entry"):
             _tiny_spec(**repeat)
-    # so would two spellings of one algorithm, under two output names
+    # a solver has one name: the old short names are unknown, and the
+    # message lists the five
     for first, second in (("saga", "pm-szht"), ("vr-szht", "vr"), ("sarah", "sarah-szht")):
-        with pytest.raises(ValueError, match="tokens '%s' and '%s' both name" % (first, second)):
+        old = second if first in ALGORITHMS else first
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown algorithm(s) ['%s'] (known: %s)" % (old, ",".join(ALGORITHMS)))):
             _tiny_spec(algorithms=["szoht", first, second])
 
 
 def test_bad_p_or_law_fails_before_first_cell(monkeypatch):
     # pm-szht runs last in this line-up, so a late check would first run
-    # the szoht and vr cells
+    # the szoht and vr-szht cells
     calls = []
     monkeypatch.setattr("zoht.harness.run_solver", lambda *args: calls.append(args))
-    algos = ["szoht", "vr", "saga"]
+    algos = ["szoht", "vr-szht", "pm-szht"]
     for p in (0, 6):
         with pytest.raises(ValueError, match="p=%d n=5" % p):
             run_experiment(_tiny_spec(algorithms=algos, m=2, p=p))
@@ -240,10 +244,10 @@ def test_divergent_cell_not_fatal():
     assert len(result.diverged_cells()) == 2  # both seeds at the huge eta
     assert result.best_eta["szoht"] == 0.02
     # every eta diverged: all score inf and the tie goes to the smallest
-    spec = _tiny_spec(eta_grid=[1e9, 1e10], algorithms=["szoht", "vr"], m=2)
+    spec = _tiny_spec(eta_grid=[1e9, 1e10], algorithms=["szoht", "vr-szht"], m=2)
     result = run_experiment(spec)
     assert len(result.diverged_cells()) == 8
-    assert result.best_eta == {"szoht": 1e9, "vr": 1e9}
+    assert result.best_eta == {"szoht": 1e9, "vr-szht": 1e9}
 
 
 def test_svg_valid_and_constant_curve_horizontal(tmp_path):

@@ -48,6 +48,9 @@ def test_sparse_kstar_forces_sparsity():
     )
     assert int(np.count_nonzero(problem.minimizer)) == 3
     assert problem.mean_value(problem.minimizer) == pytest.approx(0.0, abs=1e-24)
+    for bad in (-1, 9):
+        with pytest.raises(ValueError, match="^sparse_kstar out of range, got %d for d=8$" % bad):
+            ridge_synthetic(10, 8, 0.0, spawn_stream(3, "data-gen"), sparse_kstar=bad)
 
 
 def test_standardized_instance_has_no_minimizer():
@@ -105,6 +108,21 @@ def test_csv_header_only(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n")
     with pytest.raises(ValueError, match="no data rows"):
+        ridge_from_csv(str(path), "b", 0.1)
+    path.write_text("")
+    with pytest.raises(ValueError, match="^empty file: "):
+        ridge_from_csv(str(path), "b", 0.1)
+
+
+def test_csv_blank_row_skipped_and_short_row_refused(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n\n3,5\n")
+    problem = ridge_from_csv(str(path), "b", 0.1)
+    assert (problem.n, problem.d) == (2, 1)
+    np.testing.assert_array_equal(problem.y, [2.0, 5.0])
+    # a skipped blank row still counts in the row numbers
+    path.write_text("a,b\n1,2\n\n3\n")
+    with pytest.raises(ValueError, match="^row 4 has 1 cells, expected 2$"):
         ridge_from_csv(str(path), "b", 0.1)
 
 
@@ -210,6 +228,9 @@ def test_attack_problem_validation():
         CwAttackProblem(nan_pixel, np.array([0, 1]), classifier)
     with pytest.raises(ValueError):
         CwAttackProblem(np.zeros((2, 4)), np.array([0, 5]), classifier)
+    for labels in ([0, 1, 1], [[0], [1]]):
+        with pytest.raises(ValueError, match=r"^labels must be \(n,\)$"):
+            CwAttackProblem(np.zeros((2, 4)), np.array(labels), classifier)
     with pytest.raises(ValueError, match="n >= 1"):
         CwAttackProblem(np.zeros((0, 4)), np.zeros(0, dtype=int), classifier)
     one_class = surrogate_classifier(4, 1, spawn_stream(12, "data-gen"))

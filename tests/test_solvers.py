@@ -8,6 +8,7 @@ from zoht.core import FunctionOracle, nnz, spawn_stream
 from zoht.ht import hard_threshold
 from zoht.problems import RidgeProblem, attack_surrogate_problem, ridge_synthetic
 from zoht.solvers import (
+    ALGORITHMS,
     DIVERGENCE_FACTOR,
     SolverConfig,
     expected_izo,
@@ -609,7 +610,7 @@ def test_decomposition_svrg_anchor_shared_zero_variance():
     zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
     var, _ = gradient_squared_decomposition(
         problem, np.array([0.3, -0.1, 0.0]), zo, 200, seed=18,
-        estimator="svrg", shared_directions=True,
+        estimator="vr-szht", shared_directions=True,
     )
     assert var <= 1e-12
 
@@ -714,7 +715,7 @@ def test_decomposition_memory_and_recursive_estimators():
     problem = ridge_synthetic(4, 3, 0.2, spawn_stream(26, "data-gen"))
     zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
     theta = np.array([0.2, -0.3, 0.1])
-    for estimator in ("pm", "sarah"):
+    for estimator in ("pm-szht", "sarah-szht"):
         var, mean_sq = gradient_squared_decomposition(
             problem, theta, zo, 300, seed=27, estimator=estimator
         )
@@ -722,16 +723,36 @@ def test_decomposition_memory_and_recursive_estimators():
     # At a fixed theta a recursion step is the snapshot estimator anchored
     # there: the same draws give the same numbers.
     assert gradient_squared_decomposition(
-        problem, theta, zo, 300, seed=27, estimator="sarah"
-    ) == gradient_squared_decomposition(problem, theta, zo, 300, seed=27, estimator="svrg")
+        problem, theta, zo, 300, seed=27, estimator="sarah-szht"
+    ) == gradient_squared_decomposition(problem, theta, zo, 300, seed=27, estimator="vr-szht")
     with pytest.raises(ValueError):
         gradient_squared_decomposition(
             problem, theta, zo, 300, seed=28, estimator="bogus"
         )
 
 
+@pytest.mark.parametrize("estimator", ALGORITHMS)
+def test_decomposition_under_every_solver_name(estimator):
+    problem = ridge_synthetic(4, 3, 0.2, spawn_stream(26, "data-gen"))
+    zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
+    var, mean_sq = gradient_squared_decomposition(
+        problem, np.array([0.2, -0.3, 0.1]), zo, 100, seed=29, estimator=estimator
+    )
+    assert np.isfinite(var) and var >= 0.0
+    assert np.isfinite(mean_sq) and mean_sq > 0.0
+
+
+@pytest.mark.parametrize("old", ["svrg", "sarah", "pm", "vr", "saga"])
+def test_decomposition_refuses_old_estimator_names(old):
+    problem = ridge_synthetic(4, 3, 0.2, spawn_stream(26, "data-gen"))
+    zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown estimator '%s' (known: %s)" % (old, ",".join(ALGORITHMS)))):
+        gradient_squared_decomposition(problem, np.zeros(3), zo, 100, seed=30, estimator=old)
+
+
 def test_decomposition_deterministic_variance_is_not_cancellation_residue():
-    # Exact component gradients make fgzoht, svrg and sarah deterministic,
+    # Exact component gradients make fgzoht, vr-szht and sarah-szht deterministic,
     # so every draw is the same vector and the variance is 0 up to the
     # rounding of the draws' mean. The one-pass E||g||^2 - ||E g||^2
     # cancels to residue near 1e-15 * ||E g||^2 on most of these instances.
@@ -740,7 +761,7 @@ def test_decomposition_deterministic_variance_is_not_cancellation_residue():
     theta[:3] = [0.3, -0.2, 0.1]
     for seed in range(5):
         problem = ridge_synthetic(10, 30, 0.5, spawn_stream(seed, "data-gen"))
-        for estimator in ("fgzoht", "svrg", "sarah"):
+        for estimator in ("fgzoht", "vr-szht", "sarah-szht"):
             var, mean_sq = gradient_squared_decomposition(
                 problem, theta, zo, 100, seed=seed, estimator=estimator, exact=True
             )

@@ -70,6 +70,11 @@ def test_szoht_q_lower_s2_1():
     assert q_lower == pytest.approx(800.0 / math.sqrt(26.0), abs=1e-9)
 
 
+def test_szoht_bounds_vanish_at_kstar_zero():
+    k_lo, _, q_lower = szoht_conditions(_tp(d=20, k=3, kstar=0))
+    assert (k_lo, q_lower) == (0.0, 0.0)
+
+
 def test_szoht_k_interval_can_be_empty():
     # d=10, kstar=4: upper bound (d-kstar)/2 = 3 < lower bound for kappa>1
     tp = _tp(d=10, s2=5, k=5, kstar=4, rho_plus=1.5)

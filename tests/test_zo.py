@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -328,6 +329,20 @@ def test_frozen_directions_shape_checked():
     # An rng where the directions go is refused by the same check.
     with pytest.raises(ValueError, match=r"directions shape \(\) does not match"):
         zo_gradient(lambda th: 0.0, np.zeros(4), cfg, spawn_stream(12, "directions"))
+
+
+@pytest.mark.parametrize("theta", [np.zeros(3), np.zeros((1, 4))])
+def test_theta_shape_checked(theta):
+    cfg = ZoEstimatorConfig(q=3, s2=4, mu=0.1, d=4)
+    with pytest.raises(ValueError, match=r"^theta shape %s does not match d=4$"
+                       % re.escape(str(theta.shape))):
+        zo_gradient(lambda th: 0.0, theta, cfg, directions=np.ones((3, 4)))
+
+
+@pytest.mark.parametrize("s2", [0, 5])
+def test_sample_directions_refuses_s2_outside_1_to_d(s2):
+    with pytest.raises(ValueError, match=r"^need 1 <= s2 <= d, got s2=%d d=4$" % s2):
+        sample_directions(4, s2, 3, spawn_stream(12, "directions"))
 
 
 def test_degenerate_mu_rejected():
