@@ -184,34 +184,34 @@ def _cmd_check_theory(args):
         rho_minus=args.rho_minus, rho_plus=args.rho_plus, p=args.p,
     )
     eps = epsilon_constants(tp)
-    print("s = 2k + kstar      : %d" % tp.s)
-    print("kappa               : %.9g" % tp.kappa)
+    print("s = 2k + kstar          : %d" % tp.s)
+    print("kappa                   : %.9g" % tp.kappa)
     if tp.k > tp.kstar:
-        print("alpha               : %.9g" % alpha(tp.k, tp.kstar))
+        print("alpha                   : %.9g" % alpha(tp.k, tp.kstar))
     else:
-        print("alpha               : undefined (k <= kstar)")
-    print("eps_mu              : %.9g" % eps.eps_mu)
-    print("eps_I               : %.9g" % eps.eps_I)
-    print("eps_Ic              : %.9g   (%s)" % (eps.eps_Ic, "(d-1) denominator"))
-    print("eps_abs             : %.9g" % eps.eps_abs)
+        print("alpha                   : undefined (k <= kstar)")
+    print("eps_mu                  : %.9g" % eps.eps_mu)
+    print("eps_I                   : %.9g" % eps.eps_I)
+    print("eps_Ic                  : %.9g   (%s)" % (eps.eps_Ic, "(d-1) denominator"))
+    print("eps_abs                 : %.9g" % eps.eps_abs)
     k_lo, k_hi, q_lo = szoht_conditions(tp)
-    print("szoht k interval    : [%.9g, %.9g]%s"
+    print("szoht k interval        : [%.9g, %.9g]%s"
           % (k_lo, k_hi, "  (EMPTY)" if k_lo > k_hi else ""))
-    print("szoht q lower bound : %.9g" % q_lo)
+    print("szoht q lower bound     : %.9g" % q_lo)
     if tp.k > tp.kstar:
         if tp.p is not None:
             iv = pm_eta_interval(tp)
-            print("pm eta interval     : %s  (discriminant %.9g)"
+            print("pm-szht eta interval    : %s  (discriminant %.9g)"
                   % (_fmt_interval(iv), iv.discriminant))
         vr_iv, vr_eta = vrszht_eta_interval(tp)
-        print("vr eta interval     : %s  (discriminant %.9g)"
+        print("vr-szht eta interval    : %s  (discriminant %.9g)"
               % (_fmt_interval(vr_iv), vr_iv.discriminant))
-        print("vr recommended eta  : %.9g" % vr_eta)
+        print("vr-szht recommended eta : %.9g" % vr_eta)
         sa_iv = sarah_eta_interval(tp)
-        print("sarah eta interval  : %s  (discriminant %.9g)"
+        print("sarah-szht eta interval : %s  (discriminant %.9g)"
               % (_fmt_interval(sa_iv), sa_iv.discriminant))
     zo_q, ht_q = complexity_estimate(tp, 1e-3)
-    print("complexity @1e-3    : %.9g zo queries, %.9g ht ops" % (zo_q, ht_q))
+    print("complexity @1e-3        : %.9g zo queries, %.9g ht ops" % (zo_q, ht_q))
     return 0
 
 

@@ -98,7 +98,9 @@ def _aggregate(traces, axis):
     """(grid, mean, std) across seeds on the union of recorded axis
     values."""
     grids = [tr.column(axis) for tr in traces]
-    grid = np.unique(np.concatenate(grids))
+    # np.unique by hand: on numpy 2.x np.unique imports numpy.ma (~1.2 MB).
+    grid = np.sort(np.concatenate(grids))
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     resampled = np.stack(
         [step_resample(g, tr.column("fval"), grid) for g, tr in zip(grids, traces)]
     )

@@ -172,13 +172,13 @@ def test_check_theory_matches_module(capsys):
     assert float(values["eps_I"]) == pytest.approx(eps.eps_I, rel=1e-8)
     assert float(values["eps_mu"]) == pytest.approx(eps.eps_mu, rel=1e-8)
     _, rec = vrszht_eta_interval(tp)
-    assert float(values["vr recommended eta"]) == pytest.approx(rec, rel=1e-8)
+    assert float(values["vr-szht recommended eta"]) == pytest.approx(rec, rel=1e-8)
 
 
 def test_check_theory_without_alpha_prints_no_eta_interval(capsys):
     assert main(_THEORY_ARGV + ["--k", "1", "--kstar", "1", "--p", "1"]) == 0
     out = capsys.readouterr().out
-    assert "alpha               : undefined (k <= kstar)\n" in out
+    assert "alpha                   : undefined (k <= kstar)\n" in out
     assert "eta interval" not in out and "recommended eta" not in out
 
 
@@ -191,7 +191,7 @@ def test_check_theory_prints_an_open_pm_interval(capsys):
                  "--rho-minus", "1.0", "--p", "10"]) == 0
     iv = pm_eta_interval(tp)
     assert iv.nonempty
-    assert ("pm eta interval     : [%.9g, %.9g]  (discriminant %.9g)\n"
+    assert ("pm-szht eta interval    : [%.9g, %.9g]  (discriminant %.9g)\n"
             % (iv.lo, iv.hi, iv.discriminant)) in capsys.readouterr().out
 
 

@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -296,3 +298,38 @@ def test_svg_floors_nonpositive_values_with_warning(tmp_path):
     text = Path(path).read_text()
     assert validate_svg(text)
     assert "floored" in text
+
+
+_GRID_IMPORTS_SCRIPT = """
+import sys, tempfile
+from zoht.core import spawn_stream
+from zoht.harness import ExperimentSpec, emit_csv, emit_svg, run_experiment
+from zoht.problems import ridge_synthetic
+from zoht.solvers import ALGORITHMS
+from zoht.zo import ZoEstimatorConfig
+
+spec = ExperimentSpec(
+    problem=ridge_synthetic(5, 4, 0.3, spawn_stream(0, "data-gen")),
+    algorithms=list(ALGORITHMS), k=2, zo=ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4),
+    eta_grid=[0.01, 0.05], seeds=[1], izo_budget=900, m=5, p=1, problem_name="tiny",
+)
+with tempfile.TemporaryDirectory() as out:
+    before = set(sys.modules)
+    result = run_experiment(spec, workers=1)
+    emit_csv(result, out)
+    emit_svg(result, "izo", out)
+    emit_svg(result, "nht", out)
+    print(",".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_grid_imports_no_module():
+    # A fresh interpreter, since other tests may have imported numpy.ma here:
+    # on numpy 2.x, np.unique alone would import it in the middle of a grid.
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _GRID_IMPORTS_SCRIPT],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -240,3 +241,12 @@ def test_theory_params_validation():
         _tp(s2=9)
     with pytest.raises(ValueError, match="p=11 n=10"):
         _tp(p=11)
+
+
+@pytest.mark.parametrize("name", ["d", "n", "q", "s2", "k", "kstar", "p"])
+def test_theory_params_refuse_non_integers(name):
+    value = {"d": 5.5, "n": 10.0, "q": 200.5, "s2": 5.0, "k": 3.0, "kstar": 1.0,
+             "p": 1.5}[name]
+    message = "%s must be an integer, got %r" % (name, value)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _tp(**{name: value})
