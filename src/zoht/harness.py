@@ -15,7 +15,7 @@ import numpy as np
 from .core import RNG_DESCRIPTION
 from .solvers import ALGORITHMS, SolverConfig, check_budget, run_solver
 from .theory import EPS_IC_TYPO_NOTE
-from .vr import LAW_P_SAGA
+from .vr import LAW_P_SAGA, BlockMemo
 from .zo import ZoEstimatorConfig
 
 SVG_FLOOR = 1e-16
@@ -79,8 +79,11 @@ _worker_problem = None
 
 
 def _init_worker(problem):
+    """Set the worker's problem and open the BlockMemo its cells share
+    for as long as the worker lives."""
     global _worker_problem
     _worker_problem = problem
+    BlockMemo().open()
 
 
 def _run_cell(cfg):
@@ -130,31 +133,37 @@ def run_experiment(spec, workers=1):
     best eta by ``_eta_score`` and ``select_best_eta``, and aggregate
     mean +- std curves on common IZO and NHT grids. Divergent cells are
     kept and flagged. workers < 1, or a budget too small for any cell's
-    first step, is refused before the first cell runs."""
+    first step, is refused before the first cell runs.
+
+    Cells run seed by seed (every algorithm and eta of one seed, then the
+    next seed), since the cells of one seed draw the same direction
+    stream and share its first blocks through a ``vr.BlockMemo``. Every
+    output is keyed by cell or sorted, so the order changes none."""
     if workers < 1:
         raise ValueError("workers must be >= 1, got %r" % (workers,))
     cells = [
         (algo, eta, seed)
+        for seed in spec.seeds
         for algo in spec.algorithms
         for eta in spec.eta_grid
-        for seed in spec.seeds
     ]
     configs = [_solver_config(spec, *cell) for cell in cells]
     for cfg in configs:
         check_budget(spec.problem.n, cfg)
-    if workers > 1:
-        # Imported here: a serial run needs no multiprocessing. Fork starts
-        # all max_workers processes at the first submit, so ask for no more
-        # than there are cells.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(configs)),
-            initializer=_init_worker,
-            initargs=(spec.problem,),
-        ) as pool:
-            outs = list(pool.map(_run_cell, configs))
-    else:
-        outs = [run_solver(spec.problem, cfg) for cfg in configs]
+    with BlockMemo():
+        if workers > 1:
+            # Imported here: a serial run needs no multiprocessing. Fork
+            # starts all max_workers processes at the first submit, so ask
+            # for no more than there are cells.
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(
+                max_workers=min(workers, len(configs)),
+                initializer=_init_worker,
+                initargs=(spec.problem,),
+            ) as pool:
+                outs = list(pool.map(_run_cell, configs))
+        else:
+            outs = [run_solver(spec.problem, cfg) for cfg in configs]
     traces = dict(zip(cells, outs))
 
     best_eta = {}

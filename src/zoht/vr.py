@@ -20,6 +20,8 @@ from .zo import zo_gradient, sample_directions
 # Direction entries (rows times s2) per sample_directions call of
 # ZoComponentEstimator: as many whole estimates as fit, and at least one.
 _BLOCK_ENTRIES = 2 ** 14
+# Bytes of direction blocks a BlockMemo keeps.
+_MEMO_BYTES = 2 ** 20
 
 LAW_P_SAGA = "p-saga"
 LAW_SVRG_VARIANT = "svrg-variant"
@@ -37,7 +39,17 @@ class ZoComponentEstimator:
     one block per full pass (B = n) would hold 1.6 GB at n = 10**4,
     q = 200, d = 100. For s2 = d the rows are the per-estimate draws byte
     for byte; for s2 < d they are a new sequence (see the draw order of
-    ``sample_directions``). The stream ends at the end of the last block.
+    ``sample_directions``).
+
+    Cells of one grid seed draw the same stream, so while a ``BlockMemo``
+    is open (``harness.run_experiment``) block k is taken from it when it
+    holds block k of this very stream: keyed by (d, s2, block rows) and
+    the generator's full PCG64 state (``state``, ``inc``, ``has_uint32``,
+    ``uinteger``) before the block, and served read-only with the
+    generator set to the state after it, so no bit changes. The memo
+    keeps one stream, at most ``_MEMO_BYTES`` (1 MiB) of its first blocks;
+    past those every cell draws its own. With no memo open every block is
+    drawn.
     """
 
     def __init__(self, oracle, cfg, rng, shared_directions=False):
@@ -51,14 +63,22 @@ class ZoComponentEstimator:
         self._block_rows = max(1, _BLOCK_ENTRIES // (cfg.q * cfg.s2)) * cfg.q
         self._block = None
         self._next = self._block_rows  # first unused row; the block starts spent
+        self._blocks = 0  # blocks taken from the stream so far
 
     def _directions(self):
         """The next q directions of the block, in sample_directions' form;
         a spent block is first replaced by a fresh one."""
         start = self._next
         if start == self._block_rows:
-            cfg = self.cfg
-            self._block = sample_directions(cfg.d, cfg.s2, self._block_rows, self.rng)
+            # Let the spent block go before the next is drawn, so that a
+            # grid's peak memory holds the memo and one block beyond it.
+            self._block = None
+            shape = (self.cfg.d, self.cfg.s2, self._block_rows)
+            if _memo is None:
+                self._block = sample_directions(*shape, self.rng)
+            else:
+                self._block = _memo.take(self._blocks, shape, self.rng)
+            self._blocks += 1
             start = 0
         stop = self._next = start + self.cfg.q
         block = self._block
@@ -85,6 +105,63 @@ class ZoComponentEstimator:
         rows; for the zeroth-order source, fresh directions each and
         n(q+1) IZO."""
         return np.stack([self.estimate(i, theta) for i in range(self.oracle.n)])
+
+
+class BlockMemo:
+    """The first blocks of one direction stream, for the estimators of a
+    grid that draw it (see ZoComponentEstimator). ``states[k]`` is the
+    generator's state before block k and ``states[k + 1]`` after it.
+
+    ``with BlockMemo():`` opens a memo and drops its blocks on exit; block
+    0 of another stream replaces the one it keeps.
+    """
+
+    def __init__(self):
+        self.shape = None
+        self.states = []
+        self.blocks = []
+        self.nbytes = 0
+        self._outer = None
+
+    def open(self):
+        global _memo
+        self._outer, _memo = _memo, self
+        return self
+
+    __enter__ = open
+
+    def __exit__(self, *exc):
+        global _memo
+        _memo = self._outer
+        self.__init__()
+
+    def take(self, k, shape, rng):
+        """Block k of the stream at rng, shape (d, s2, rows): served when
+        held, else drawn and kept while the memo has room."""
+        state = rng.bit_generator.state
+        if state["bit_generator"] != "PCG64":
+            return sample_directions(*shape, rng)
+        if k == 0 and (shape != self.shape or self.states[0] != state):
+            self.shape, self.states, self.blocks, self.nbytes = shape, [state], [], 0
+        if shape != self.shape or k >= len(self.states) or self.states[k] != state:
+            return sample_directions(*shape, rng)
+        if k < len(self.blocks):
+            rng.bit_generator.state = self.states[k + 1]
+            return self.blocks[k]
+        block = sample_directions(*shape, rng)
+        arrays = block if isinstance(block, tuple) else (block,)
+        size = sum(a.nbytes for a in arrays)
+        if self.nbytes + size <= _MEMO_BYTES:
+            for a in arrays:
+                a.flags.writeable = False
+            self.blocks.append(block)
+            self.states.append(rng.bit_generator.state)
+            self.nbytes += size
+        return block
+
+
+# The open BlockMemo, or None: then every block is drawn.
+_memo = None
 
 
 class ExactComponentEstimator:

@@ -103,8 +103,9 @@ def _sample_supports(d, s2, q, rng):
     """(q, s2) column indices; each row is a uniformly random size-s2
     subset of range(d)."""
     if s2 * (s2 - 1) > 2 * d:
-        # Dense supports: the s2 smallest of d i.i.d. uniform keys.
-        return np.argpartition(rng.random((q, d)), s2 - 1, axis=1)[:, :s2]
+        # Dense supports: the s2 smallest of d i.i.d. uniform keys, copied
+        # so that the block does not hold all (q, d) partitioned indices.
+        return np.argpartition(rng.random((q, d)), s2 - 1, axis=1)[:, :s2].copy()
     # Sparse supports: i.i.d. indices, sorted per row; every entry equal to
     # its left neighbour is redrawn, and those rows are sorted again, until
     # no row repeats an index. Each round keeps a row's distinct indices

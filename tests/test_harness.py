@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zoht.vr as vr
 from zoht.core import spawn_stream
 from zoht.harness import (
     ExperimentSpec,
@@ -18,7 +19,7 @@ from zoht.harness import (
     step_resample,
 )
 from zoht.problems import ridge_synthetic
-from zoht.solvers import ALGORITHMS, RunTrace
+from zoht.solvers import ALGORITHMS, RunTrace, run_solver
 from zoht.zo import ZoEstimatorConfig
 
 
@@ -333,3 +334,90 @@ def test_grid_imports_no_module():
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
+
+
+# -- direction blocks shared by the cells of a seed ---------------------------
+
+def _memo_spec(d, s2, seeds=(1, 2)):
+    """Five solvers x three etas, the last of which diverges. With q = 20
+    and s2 = 6 a direction block holds 136 estimates (261,120 bytes at
+    s2 < d), so a cell of 300 estimates takes three blocks."""
+    problem = ridge_synthetic(5, d, 0.3, spawn_stream(3, "data-gen"))
+    return ExperimentSpec(
+        problem=problem,
+        algorithms=list(ALGORITHMS),
+        k=3,
+        zo=ZoEstimatorConfig(q=20, s2=s2, mu=1e-4, d=d),
+        eta_grid=[0.01, 0.05, 50.0],
+        seeds=list(seeds),
+        izo_budget=21 * 300,
+        m=5,
+        p=1,
+        problem_name="memo",
+    )
+
+
+def _counting_sampler(monkeypatch):
+    """Replace vr.sample_directions by a wrapper that records, per call,
+    the generator state it drew from and the memo open at the time."""
+    sampler, calls = vr.sample_directions, []
+
+    def record(d, s2, rows, rng):
+        calls.append((rng.bit_generator.state, vr._memo))
+        return sampler(d, s2, rows, rng)
+
+    monkeypatch.setattr(vr, "sample_directions", record)
+    return calls
+
+
+@pytest.mark.parametrize("d, s2, cap, workers", [
+    (6, 6, None, 1),
+    (40, 6, None, 1),
+    (40, 6, 261_120, 1),   # the memo holds block 0 only; cells draw the rest
+    (6, 6, 130_560, 1),
+    (40, 6, None, 2),
+])
+def test_grid_traces_equal_solo_runs(monkeypatch, d, s2, cap, workers):
+    if cap is not None:
+        monkeypatch.setattr(vr, "_MEMO_BYTES", cap)
+    spec = _memo_spec(d, s2)
+    calls = _counting_sampler(monkeypatch)
+    grid = run_experiment(spec, workers=workers)
+    grid_calls = len(calls)
+    assert vr._memo is None
+    for (algo, eta, seed), tr in grid.traces.items():
+        solo = run_solver(spec.problem, tr.config)
+        assert (algo, eta, seed) == (tr.config.algorithm, tr.config.eta, tr.config.seed)
+        assert tr.rows == solo.rows, (algo, eta, seed)
+        assert tr.final_theta.tobytes() == solo.final_theta.tobytes()
+        assert (tr.izo, tr.nht, tr.diverged, tr.epochs, tr.memory_updates) == (
+            solo.izo, solo.nht, solo.diverged, solo.epochs, solo.memory_updates)
+    assert all(memo is None for _, memo in calls[grid_calls:])
+    diverged = {eta for _, eta, _ in grid.diverged_cells()}
+    assert diverged == {50.0}
+    if workers == 1:
+        # Solo runs draw every block they take. Under the cap the grid draws
+        # a seed's three blocks once; at a cap of one block it draws block 0
+        # once and every cell draws the blocks after it.
+        solo_calls, seeds = len(calls) - grid_calls, len(spec.seeds)
+        want = 3 * seeds if cap is None else solo_calls - len(grid.traces) + seeds
+        assert grid_calls == want
+        assert all(memo is not None for _, memo in calls[:grid_calls])
+
+
+def test_grid_draws_each_block_index_once(monkeypatch):
+    spec = _memo_spec(40, 6, seeds=[4])
+    calls = _counting_sampler(monkeypatch)
+    result = run_experiment(spec)
+    memo, blocks = calls[0][1], len(calls)
+    for tr in result.traces.values():
+        run_solver(spec.problem, tr.config)
+    # Every cell of the seed starts the same stream, and a solo run draws
+    # every block it takes: the grid drew each block index the cells reach
+    # once, from the state a solo run draws it from.
+    grid = [repr(state) for state, _ in calls[:blocks]]
+    solo = {repr(state) for state, _ in calls[blocks:]}
+    assert len(set(grid)) == len(grid) == 3
+    assert set(grid) == solo
+    assert memo is not None and memo.blocks == [] and memo.states == []
+    assert vr._memo is None

@@ -7,6 +7,7 @@ from zoht.problems import ridge_synthetic
 from zoht.vr import (
     LAW_P_SAGA,
     LAW_SVRG_VARIANT,
+    BlockMemo,
     ExactComponentEstimator,
     ZoComponentEstimator,
     draw_update_set,
@@ -282,3 +283,65 @@ def test_memory_law_validation():
         with pytest.raises(ValueError, match=match):
             init_gradient_memory(zo_est, np.zeros(2), p=p, law=law)
         assert zo_est.izo == 0
+
+
+@pytest.mark.parametrize("s2", [40, 6])
+@pytest.mark.parametrize("shift", ["one-draw", "buffered-uint32"])
+def test_block_memo_serves_only_its_own_stream(s2, shift):
+    # A generator one draw past the memo's stream, or at its state but for a
+    # buffered uint32 (which s2 < d supports consume and s2 = d values do
+    # not), must draw its own blocks and end where its own draws leave it.
+    problem = ridge_synthetic(5, 40, 0.3, spawn_stream(3, "data-gen"))
+    cfg = ZoEstimatorConfig(q=20, s2=s2, mu=1e-4, d=40)
+    theta = np.zeros(40)
+
+    def shifted():
+        rng = spawn_stream(1, "directions")
+        if shift == "one-draw":
+            rng.standard_normal()
+        else:
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 12345
+            rng.bit_generator.state = state
+        return rng
+
+    def run(rng):
+        # Two blocks of estimates (136 each at q = 20, s2 = 6; 20 at s2 = 40).
+        est = ZoComponentEstimator(problem, cfg, rng)
+        rows = est._block_rows // cfg.q
+        grads = np.stack([est.estimate(0, theta) for _ in range(2 * rows)])
+        return grads.tobytes(), rng.bit_generator.state
+
+    want = run(shifted())
+    with BlockMemo() as memo:
+        own = run(spawn_stream(1, "directions"))
+        arrays = [a for block in memo.blocks
+                  for a in (block if isinstance(block, tuple) else (block,))]
+        assert len(memo.blocks) == 2 and not any(a.flags.writeable for a in arrays)
+        got = run(shifted())
+    assert got == want != own
+
+
+@pytest.mark.parametrize("other_d, other_seed", [(20, 1), (40, 2)])
+def test_block_memo_serves_no_other_shape_or_stream(other_d, other_seed):
+    # An estimator that takes block 1 after another one replaced the memo's
+    # stream draws it itself. Blocks of (d, s2, rows) = (40, 40, 400) and
+    # (20, 20, 800) both take 16,000 normals, so one stream passes the same
+    # states under both shapes.
+    def estimator(d, seed):
+        problem = ridge_synthetic(5, d, 0.3, spawn_stream(3, "data-gen"))
+        cfg = ZoEstimatorConfig(q=20, s2=d, mu=1e-4, d=d)
+        return ZoComponentEstimator(problem, cfg, spawn_stream(seed, "directions"))
+
+    def take(est, blocks):
+        rows = est._block_rows // est.cfg.q
+        theta = np.zeros(est.cfg.d)
+        return [est.estimate(0, theta).tobytes() for _ in range(blocks * rows)]
+
+    want = take(estimator(40, 1), 2)
+    with BlockMemo():
+        est = estimator(40, 1)
+        got = take(est, 1)
+        take(estimator(other_d, other_seed), 2)
+        got += take(est, 1)
+    assert got == want

@@ -44,6 +44,16 @@ def test_direction_unit_norm_and_support():
         assert nnz(u) <= s2
 
 
+@pytest.mark.parametrize("s2", [20, 100])
+def test_sparse_directions_own_their_entries(s2):
+    # Both support branches (at d = 1000, s2 = 100 partitions (q, d) keys)
+    # return (q, s2) arrays that own their memory, so a block of directions
+    # holds 2*q*s2 entries and no more.
+    values, support = sample_directions(1000, s2, 160, spawn_stream(2, "directions"))
+    assert values.shape == support.shape == (160, s2)
+    assert values.base is None and support.base is None
+
+
 def test_axis_directions_uniform_s2_1():
     # d=3, s2=1: u must be one of +-e_j, each with probability 1/6.
     rng = spawn_stream(1, "directions")
