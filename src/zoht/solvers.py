@@ -26,7 +26,10 @@ vr-szht or (J_max+1)(q+1) for pm-szht (J_max = p under p-saga, n under
 svrg-variant), so every run takes a step.
 """
 
+import math
 import numbers
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,20 +93,63 @@ class SolverConfig:
             raise ValueError("seed must be >= 0, got %d" % self.seed)
 
 
+class TraceRows(Sequence):
+    """A run's (izo, nht, fval, nnz) rows as four typed columns: ``izo``,
+    ``nht`` and ``nnz`` are ``array("q")``, ``fval`` is ``array("d")``, 32
+    bytes per row where a list of tuples of Python scalars holds about 153.
+    Reading a row (``rows[k]``, iteration) gives the tuple (int, int,
+    float, int); a slice gives a list of them. Rows compare equal to any
+    sequence of equal 4-tuples, and pickle as their four columns."""
+
+    def __init__(self, rows=()):
+        self.izo, self.nht, self.nnz = array("q"), array("q"), array("q")
+        self.fval = array("d")
+        for row in rows:
+            self.append(*row)
+
+    def append(self, izo, nht, fval, nz):
+        self.izo.append(izo)
+        self.nht.append(nht)
+        self.fval.append(fval)
+        self.nnz.append(nz)
+
+    def pop(self):
+        return (self.izo.pop(), self.nht.pop(), self.fval.pop(), self.nnz.pop())
+
+    def __len__(self):
+        return len(self.izo)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        return (self.izo[k], self.nht[k], self.fval[k], self.nnz[k])
+
+    def __iter__(self):
+        return zip(self.izo, self.nht, self.fval, self.nnz)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self):
+        return "TraceRows(%r)" % (self[:],)
+
+
 @dataclass
 class RunTrace:
     """Per-run time series and exact accounting metadata: the run's only
     ledger, written in place while the solver runs.
 
-    rows: (izo, nht, fval, theta_nnz) at theta = 0 and after each step that
-    passes the divergence guard, strictly increasing in izo and ending at
-    (izo, nht) of final_theta unless it tripped the guard. A sarah-szht
-    epoch ends on its picked iterate's row. nht counts the steps; with the
-    epoch and memory-refresh tallies it closes each solver's IZO identity
-    exactly.
+    rows: a ``TraceRows`` (a list given here is converted) of (izo, nht,
+    fval, theta_nnz) at theta = 0 and after each step that passes the
+    divergence guard, strictly increasing in izo and ending at (izo, nht)
+    of final_theta unless it tripped the guard. A sarah-szht epoch ends on
+    its picked iterate's row. nht counts the steps; with the epoch and
+    memory-refresh tallies it closes each solver's IZO identity exactly.
     """
 
-    rows: list
+    rows: TraceRows
     final_theta: np.ndarray
     config: SolverConfig
     izo: int
@@ -112,9 +158,15 @@ class RunTrace:
     epochs: int = 0
     memory_updates: int = 0
 
+    def __post_init__(self):
+        if not isinstance(self.rows, TraceRows):
+            self.rows = TraceRows(self.rows)
+
     def column(self, name):
-        idx = {"izo": 0, "nht": 1, "fval": 2, "nnz": 3}[name]
-        return np.array([row[idx] for row in self.rows])
+        """One column as an int64 (izo, nht, nnz) or float64 (fval) array."""
+        if name not in ("izo", "nht", "fval", "nnz"):
+            raise KeyError(name)
+        return np.array(getattr(self.rows, name))
 
 
 def check_budget(oracle_n, cfg):
@@ -153,9 +205,9 @@ class _Run:
             oracle, cfg.zo, spawn_stream(cfg.seed, "directions"), cfg.shared_directions
         )
         self.theta = np.zeros(cfg.zo.d)
-        self.trace = RunTrace(rows=[], final_theta=None, config=cfg, izo=0, nht=0)
+        self.trace = RunTrace(rows=TraceRows(), final_theta=None, config=cfg, izo=0, nht=0)
         self.fval = oracle.mean_value(self.theta)
-        if not np.isfinite(self.fval):
+        if not math.isfinite(self.fval):
             raise ValueError(
                 "objective is non-finite at the initial point: %r" % float(self.fval)
             )
@@ -165,12 +217,12 @@ class _Run:
     def _record(self):
         """Unless fval trips the divergence guard, write the held iterate's
         (izo, nht, fval, nnz) over any row at this izo; return whether it did."""
-        if not (np.isfinite(self.fval) and self.fval <= self.guard_level):
+        if not (math.isfinite(self.fval) and self.fval <= self.guard_level):
             return False
-        rows = self.trace.rows
-        if rows and rows[-1][0] == self.est.izo:
+        rows, izo = self.trace.rows, self.est.izo
+        if rows.izo and rows.izo[-1] == izo:
             rows.pop()
-        rows.append((self.est.izo, self.trace.nht, self.fval, nnz(self.theta)))
+        rows.append(izo, self.trace.nht, self.fval, nnz(self.theta))
         return True
 
     def fits(self, cost):
@@ -282,7 +334,7 @@ def run_solver(oracle, cfg):
         raise RuntimeError(
             "%s: trace.izo %d != expected_izo %d" % (cfg.algorithm, trace.izo, want)
         )
-    worst = max(max(row[3] for row in trace.rows), nnz(trace.final_theta))
+    worst = max(max(trace.rows.nnz), nnz(trace.final_theta))
     if worst > cfg.k:
         raise RuntimeError("%s: nnz %d exceeds k = %d" % (cfg.algorithm, worst, cfg.k))
     return trace

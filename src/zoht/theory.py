@@ -41,6 +41,10 @@ class TheoryParams:
             raise ValueError("need 1 <= s2 <= d, got s2=%s d=%s" % (self.s2, self.d))
         if self.kstar < 0 or self.k < self.kstar:
             raise ValueError("need k >= kstar >= 0, got k=%s kstar=%s" % (self.k, self.kstar))
+        for name in ("rho_minus", "rho_plus"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError("%s must be finite, got %r" % (name, value))
         if not (self.rho_plus >= self.rho_minus > 0):
             raise ValueError("need rho_plus >= rho_minus > 0, got rho_plus=%s rho_minus=%s"
                              % (self.rho_plus, self.rho_minus))

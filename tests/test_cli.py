@@ -112,8 +112,16 @@ def _solver_config(algorithm="szoht", eta=0.01, k=3, m=10):
     (_THEORY_ARGV + ["--n", "0", "--k", "3", "--kstar", "1"],
      lambda: TheoryParams(d=5, n=0, q=200, s2=5, k=3, kstar=1, rho_minus=0.5, rho_plus=2.0),
      "q and n must be >= 1, got q=200 n=0"),
+    (_THEORY_ARGV + ["--rho-plus", "inf", "--k", "3", "--kstar", "1"],
+     lambda: TheoryParams(d=5, n=10, q=200, s2=5, k=3, kstar=1, rho_minus=0.5,
+                          rho_plus=float("inf")),
+     "rho_plus must be finite, got inf"),
+    (_THEORY_ARGV + ["--rho-plus", "inf", "--rho-minus", "inf", "--k", "3", "--kstar", "1"],
+     lambda: TheoryParams(d=5, n=10, q=200, s2=5, k=3, kstar=1, rho_minus=float("inf"),
+                          rho_plus=float("inf")),
+     "rho_minus must be finite, got inf"),
 ], ids=["k", "eta", "eta-inf", "m", "n", "lambda", "lambda-nan", "mu-inf", "kstar",
-        "theory-q", "theory-n"])
+        "theory-q", "theory-n", "theory-rho-plus-inf", "theory-rho-inf"])
 def test_refusal_names_the_value_it_got(tmp_path, capsys, argv, refuse, message):
     with pytest.raises(ValueError) as exc:
         refuse()

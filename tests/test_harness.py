@@ -195,13 +195,23 @@ def test_empty_trace_writes_header_only(tmp_path):
     result = run_experiment(spec)
     key = ("szoht", 0.02, 5)
     tr = result.traces[key]
+    paths = emit_csv(result, str(tmp_path / "run"))
+    raw = [p for p in paths if os.path.basename(p).startswith("raw_")][0]
+    # a RunTrace built from a list of row tuples writes the same CSV
+    result.traces[key] = RunTrace(
+        rows=list(tr.rows), final_theta=tr.final_theta, config=tr.config,
+        izo=tr.izo, nht=tr.nht,
+    )
+    emit_csv(result, str(tmp_path / "list"))
+    listed = tmp_path / "list" / os.path.basename(raw)
+    assert listed.read_bytes() == Path(raw).read_bytes()
     result.traces[key] = RunTrace(
         rows=[], final_theta=tr.final_theta, config=tr.config,
         izo=0, nht=0,
     )
     result.curves["izo"]["szoht"] = (np.array([0]), np.array([1.0]), np.array([0.0]))
     result.curves["nht"]["szoht"] = (np.array([0]), np.array([1.0]), np.array([0.0]))
-    paths = emit_csv(result, str(tmp_path))
+    paths = emit_csv(result, str(tmp_path / "empty"))
     raw = [p for p in paths if os.path.basename(p).startswith("raw_")][0]
     assert Path(raw).read_text() == "izo,nht,fval,nnz\n"
 
@@ -211,7 +221,12 @@ def test_worker_pool_invariance():
     serial = run_experiment(spec, workers=1)
     parallel = run_experiment(spec, workers=2)
     for key in serial.traces:
-        assert serial.traces[key].rows == parallel.traces[key].rows
+        rows = parallel.traces[key].rows
+        assert serial.traces[key].rows == rows
+        assert list(serial.traces[key].rows) == list(rows)  # row for row
+        for row in rows:
+            assert type(row) is tuple
+            assert [type(x) for x in row] == [int, int, float, int]
     assert serial.best_eta == parallel.best_eta
 
 

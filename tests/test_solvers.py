@@ -1,5 +1,7 @@
+import gc
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +61,34 @@ def test_szoht_per_iteration_deltas():
     assert np.all(np.diff(izo) == 11)
     assert np.all(np.diff(nht) == 1)
     assert izo[0] == 0 and nht[0] == 0
+    # column() reads a typed column; it equals the array built from the rows
+    for idx, name in enumerate(("izo", "nht", "fval", "nnz")):
+        col = trace.column(name)
+        assert col.dtype == (np.float64 if name == "fval" else np.int64), name
+        np.testing.assert_array_equal(col, np.array([row[idx] for row in trace.rows]))
+
+
+def test_long_trace_retains_at_most_40_bytes_per_row():
+    # szoht at q = 1 steps every 2 IZO: 10,001 rows. Four typed columns
+    # hold 32 bytes a row; a list of 4-tuples of Python scalars holds about 153.
+    problem = ridge_synthetic(4, 3, 0.5, spawn_stream(0, "data-gen"))
+    zo = ZoEstimatorConfig(q=1, s2=3, mu=1e-4, d=3)
+
+    def run(budget):
+        return run_solver(problem, _cfg("szoht", eta=0.05, k=2, zo=zo, budget=budget, seed=1))
+
+    run(100)  # first-call allocations are not the trace's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run(20_000)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace.rows) == 10_001 and not trace.diverged
+    assert retained / len(trace.rows) <= 40
 
 
 def test_zero_eta_freezes_after_first_threshold():
