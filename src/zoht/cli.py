@@ -64,7 +64,7 @@ def _algo(name):
 
 
 def _comma_list(convert):
-    """argparse type of a list flag: comma-separated, no value twice."""
+    """argparse type of a list flag: comma-separated, non-empty, no value twice."""
     def parse(text):
         values, seen = [], {}
         for token in filter(None, map(str.strip, text.split(","))):
@@ -77,6 +77,8 @@ def _comma_list(convert):
                     "entries %r and %r both name %s" % (seen[value], token, value))
             seen[value] = token
             values.append(value)
+        if not values:
+            raise argparse.ArgumentTypeError("empty list %r" % text)
         return values
     return parse
 

@@ -116,7 +116,7 @@ def _eta_score(traces):
     the tie rule then picks the smallest."""
     if all(tr.diverged for tr in traces):
         return np.inf
-    return float(np.mean([tr.rows[-1][2] for tr in traces]))
+    return float(np.mean([tr.columns["fval"][-1] for tr in traces]))
 
 
 def select_best_eta(scores):

@@ -29,6 +29,8 @@ class RidgeProblem(FunctionOracle):
         y = np.array(y, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] < 1 or y.shape != (X.shape[0],):
             raise ValueError("X must be (n, d) with n >= 1 and y must be (n,)")
+        if X.shape[1] < 1:
+            raise ValueError("need d >= 1 features, got d=%d" % X.shape[1])
         for name, values in (("X", X), ("y", y)):
             bad = np.argwhere(~np.isfinite(values))
             if len(bad):
@@ -138,7 +140,7 @@ def ridge_from_csv(path, target_column, lam):
     Feature columns are standardized; the target column is used as-is.
     Parse failures report the offending row and column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -149,6 +151,9 @@ def ridge_from_csv(path, target_column, lam):
             raise ValueError(
                 "target column %r not found; available: %s" % (target_column, header)
             )
+        if len(header) < 2:
+            raise ValueError("no feature column besides the target %r in %s"
+                             % (target_column, path))
         target_idx = header.index(target_column)
         rows = []
         for row_num, row in enumerate(reader, start=2):
@@ -246,6 +251,8 @@ class CwAttackProblem(FunctionOracle):
         images = np.array(images, dtype=np.float64)
         if images.ndim != 2 or images.shape[0] < 1:
             raise ValueError("images must be (n, d) with n >= 1")
+        if images.shape[1] < 1:
+            raise ValueError("need d >= 1 pixels, got d=%d" % images.shape[1])
         num_classes = classifier.num_classes
         if num_classes is None or num_classes < 2:
             raise ValueError("need num_classes >= 2, got %s" % (num_classes,))
@@ -306,6 +313,8 @@ def attack_surrogate_problem(n, d_image, num_classes, rng):
     hinge starts at the classifier's decision margin (> 0 generically)."""
     if num_classes < 2:
         raise ValueError("need num_classes >= 2, got %d" % num_classes)
+    if d_image < 1:
+        raise ValueError("need d >= 1 pixels, got d=%d" % d_image)
     classifier = surrogate_classifier(d_image, num_classes, rng)
     images = rng.uniform(PIXEL_LO, PIXEL_HI, size=(n, d_image))
     labels = np.array(

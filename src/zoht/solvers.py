@@ -29,8 +29,7 @@ svrg-variant), so every run takes a step.
 import math
 import numbers
 from array import array
-from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,63 +92,20 @@ class SolverConfig:
             raise ValueError("seed must be >= 0, got %d" % self.seed)
 
 
-class TraceRows(Sequence):
-    """A run's (izo, nht, fval, nnz) rows as four typed columns: ``izo``,
-    ``nht`` and ``nnz`` are ``array("q")``, ``fval`` is ``array("d")``, 32
-    bytes per row where a list of tuples of Python scalars holds about 153.
-    Reading a row (``rows[k]``, iteration) gives the tuple (int, int,
-    float, int); a slice gives a list of them. Rows compare equal to any
-    sequence of equal 4-tuples, and pickle as their four columns."""
-
-    def __init__(self, rows=()):
-        self.izo, self.nht, self.nnz = array("q"), array("q"), array("q")
-        self.fval = array("d")
-        for row in rows:
-            self.append(*row)
-
-    def append(self, izo, nht, fval, nz):
-        self.izo.append(izo)
-        self.nht.append(nht)
-        self.fval.append(fval)
-        self.nnz.append(nz)
-
-    def pop(self):
-        return (self.izo.pop(), self.nht.pop(), self.fval.pop(), self.nnz.pop())
-
-    def __len__(self):
-        return len(self.izo)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[j] for j in range(len(self))[k]]
-        return (self.izo[k], self.nht[k], self.fval[k], self.nnz[k])
-
-    def __iter__(self):
-        return zip(self.izo, self.nht, self.fval, self.nnz)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self):
-        return "TraceRows(%r)" % (self[:],)
-
-
 @dataclass
 class RunTrace:
     """Per-run time series and exact accounting metadata: the run's only
     ledger, written in place while the solver runs.
 
-    rows: a ``TraceRows`` (a list given here is converted) of (izo, nht,
-    fval, theta_nnz) at theta = 0 and after each step that passes the
-    divergence guard, strictly increasing in izo and ending at (izo, nht)
-    of final_theta unless it tripped the guard. A sarah-szht epoch ends on
+    columns: the rows at theta = 0 and after each step that passes the
+    divergence guard, as four typed arrays keyed in row order ``izo``,
+    ``nht``, ``fval`` (doubles) and ``nnz`` (theta's nonzeros; int64 like
+    izo and nht), 32 bytes a row. izo strictly increases, and the last row
+    is final_theta's unless it tripped the guard. A sarah-szht epoch ends on
     its picked iterate's row. nht counts the steps; with the epoch and
     memory-refresh tallies it closes each solver's IZO identity exactly.
     """
 
-    rows: TraceRows
     final_theta: np.ndarray
     config: SolverConfig
     izo: int
@@ -157,16 +113,17 @@ class RunTrace:
     diverged: bool = False
     epochs: int = 0
     memory_updates: int = 0
+    columns: dict = field(init=False, default_factory=lambda: {
+        "izo": array("q"), "nht": array("q"), "fval": array("d"), "nnz": array("q")})
 
-    def __post_init__(self):
-        if not isinstance(self.rows, TraceRows):
-            self.rows = TraceRows(self.rows)
+    @property
+    def rows(self):
+        """A new list of the rows as (izo, nht, fval, nnz) Python scalars."""
+        return list(zip(*self.columns.values()))
 
     def column(self, name):
         """One column as an int64 (izo, nht, nnz) or float64 (fval) array."""
-        if name not in ("izo", "nht", "fval", "nnz"):
-            raise KeyError(name)
-        return np.array(getattr(self.rows, name))
+        return np.array(self.columns[name])
 
 
 def check_budget(oracle_n, cfg):
@@ -205,7 +162,7 @@ class _Run:
             oracle, cfg.zo, spawn_stream(cfg.seed, "directions"), cfg.shared_directions
         )
         self.theta = np.zeros(cfg.zo.d)
-        self.trace = RunTrace(rows=TraceRows(), final_theta=None, config=cfg, izo=0, nht=0)
+        self.trace = RunTrace(final_theta=None, config=cfg, izo=0, nht=0)
         self.fval = oracle.mean_value(self.theta)
         if not math.isfinite(self.fval):
             raise ValueError(
@@ -219,10 +176,14 @@ class _Run:
         (izo, nht, fval, nnz) over any row at this izo; return whether it did."""
         if not (math.isfinite(self.fval) and self.fval <= self.guard_level):
             return False
-        rows, izo = self.trace.rows, self.est.izo
-        if rows.izo and rows.izo[-1] == izo:
-            rows.pop()
-        rows.append(izo, self.trace.nht, self.fval, nnz(self.theta))
+        cols, izo = self.trace.columns, self.est.izo
+        if cols["izo"] and cols["izo"][-1] == izo:
+            for col in cols.values():
+                col.pop()
+        cols["izo"].append(izo)
+        cols["nht"].append(self.trace.nht)
+        cols["fval"].append(self.fval)
+        cols["nnz"].append(nnz(self.theta))
         return True
 
     def fits(self, cost):
@@ -334,7 +295,7 @@ def run_solver(oracle, cfg):
         raise RuntimeError(
             "%s: trace.izo %d != expected_izo %d" % (cfg.algorithm, trace.izo, want)
         )
-    worst = max(max(trace.rows.nnz), nnz(trace.final_theta))
+    worst = max(max(trace.columns["nnz"]), nnz(trace.final_theta))
     if worst > cfg.k:
         raise RuntimeError("%s: nnz %d exceeds k = %d" % (cfg.algorithm, worst, cfg.k))
     return trace

@@ -41,15 +41,8 @@ class ZoComponentEstimator:
     for byte; for s2 < d they are a new sequence (see the draw order of
     ``sample_directions``).
 
-    Cells of one grid seed draw the same stream, so while a ``BlockMemo``
-    is open (``harness.run_experiment``) block k is taken from it when it
-    holds block k of this very stream: keyed by (d, s2, block rows) and
-    the generator's full PCG64 state (``state``, ``inc``, ``has_uint32``,
-    ``uinteger``) before the block, and served read-only with the
-    generator set to the state after it, so no bit changes. The memo
-    keeps one stream, at most ``_MEMO_BYTES`` (1 MiB) of its first blocks;
-    past those every cell draws its own. With no memo open every block is
-    drawn.
+    While a ``BlockMemo`` is open, blocks are taken through it (see there
+    for when it serves one); with none open every block is drawn.
     """
 
     def __init__(self, oracle, cfg, rng, shared_directions=False):
@@ -108,12 +101,19 @@ class ZoComponentEstimator:
 
 
 class BlockMemo:
-    """The first blocks of one direction stream, for the estimators of a
-    grid that draw it (see ZoComponentEstimator). ``states[k]`` is the
-    generator's state before block k and ``states[k + 1]`` after it.
+    """The first blocks of one direction stream, shared by the
+    ZoComponentEstimators of a grid, whose cells of one seed draw the same
+    stream. Block k is served when the memo holds block k of this very
+    stream, keyed by (d, s2, block rows) and the generator's full PCG64
+    state (``state``, ``inc``, ``has_uint32``, ``uinteger``) before it, and
+    served read-only with the generator set to the state after it, so no
+    bit changes. The memo keeps at most ``_MEMO_BYTES`` (1 MiB) of one
+    stream's first blocks; past those every cell draws its own, and block
+    0 of another stream replaces them. ``states[k]`` is the generator's
+    state before block k and ``states[k + 1]`` after it.
 
-    ``with BlockMemo():`` opens a memo and drops its blocks on exit; block
-    0 of another stream replaces the one it keeps.
+    ``with BlockMemo():`` (``harness.run_experiment``) opens the memo; exit
+    closes it and drops its blocks. A pool worker opens one for life.
     """
 
     def __init__(self):
@@ -121,18 +121,17 @@ class BlockMemo:
         self.states = []
         self.blocks = []
         self.nbytes = 0
-        self._outer = None
 
     def open(self):
         global _memo
-        self._outer, _memo = _memo, self
+        _memo = self
         return self
 
     __enter__ = open
 
     def __exit__(self, *exc):
         global _memo
-        _memo = self._outer
+        _memo = None
         self.__init__()
 
     def take(self, k, shape, rng):

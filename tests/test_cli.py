@@ -7,7 +7,7 @@ import pytest
 
 from zoht.cli import main
 from zoht.core import spawn_stream
-from zoht.problems import RidgeProblem, ridge_synthetic
+from zoht.problems import RidgeProblem, attack_surrogate_problem, ridge_synthetic
 from zoht.solvers import SolverConfig
 from zoht.theory import (
     TheoryParams,
@@ -63,6 +63,9 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     ("--data-seed", "x", "invalid literal for int() with base 10: 'x'"),
     ("--workers", "-2", "workers must be >= 1, got -2"),
     ("--workers", "0", "workers must be >= 1, got 0"),
+    ("--seeds", ",", "empty list ','"),
+    ("--eta-grid", ",", "empty list ','"),
+    ("--algos", ",", "empty list ','"),
 ])
 def test_bad_list_entry_is_a_usage_error(tmp_path, capsys, flag, value, message):
     with pytest.raises(SystemExit) as exc:
@@ -95,6 +98,9 @@ def _solver_config(algorithm="szoht", eta=0.01, k=3, m=10):
     (["ridge-synthetic", "--n", "0"],
      lambda: ridge_synthetic(0, 5, 0.5, spawn_stream(0, "data-gen")),
      "need n, d >= 1, got n=0 d=5"),
+    (["attack-surrogate", "--d", "0"],
+     lambda: attack_surrogate_problem(4, 0, 10, spawn_stream(0, "data-gen")),
+     "need d >= 1 pixels, got d=0"),
     (["ridge-synthetic", "--lambda", "-1"], lambda: RidgeProblem(np.eye(2), np.ones(2), -1.0),
      "lambda must be >= 0, got lambda=-1.0"),
     (["ridge-synthetic", "--lambda", "nan"],
@@ -120,7 +126,7 @@ def _solver_config(algorithm="szoht", eta=0.01, k=3, m=10):
      lambda: TheoryParams(d=5, n=10, q=200, s2=5, k=3, kstar=1, rho_minus=float("inf"),
                           rho_plus=float("inf")),
      "rho_minus must be finite, got inf"),
-], ids=["k", "eta", "eta-inf", "m", "n", "lambda", "lambda-nan", "mu-inf", "kstar",
+], ids=["k", "eta", "eta-inf", "m", "n", "attack-d", "lambda", "lambda-nan", "mu-inf", "kstar",
         "theory-q", "theory-n", "theory-rho-plus-inf", "theory-rho-inf"])
 def test_refusal_names_the_value_it_got(tmp_path, capsys, argv, refuse, message):
     with pytest.raises(ValueError) as exc:
@@ -139,6 +145,17 @@ def test_missing_file_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_target_only_csv_exits_2(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text("y\n1\n2\n3\n")
+    code = main(["ridge-csv", "--file", str(path), "--target", "y",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: no feature column besides the target 'y' in %s\n" % path)
+    assert not (tmp_path / "out").exists()
 
 
 def test_failed_run_check_exits_2(tmp_path, capsys, monkeypatch):

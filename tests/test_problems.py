@@ -104,6 +104,16 @@ def test_csv_missing_target_names_headers(tmp_path):
         ridge_from_csv(str(path), "zz", 0.1)
 
 
+def test_csv_with_byte_order_mark(tmp_path):
+    # Spreadsheet exports start the file with a BOM; it is not part of the
+    # first column's name.
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\xef\xbb\xbfy,a,b\n1,2,3\n4,5,7\n")
+    problem = ridge_from_csv(str(path), "y", 0.1)
+    assert (problem.n, problem.d) == (2, 2)
+    np.testing.assert_array_equal(problem.y, [1.0, 4.0])
+
+
 def test_csv_header_only(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n")
@@ -246,6 +256,13 @@ def test_attack_problem_validation():
         attack_surrogate_problem(0, 48, 10, spawn_stream(0, "data-gen"))
     with pytest.raises(ValueError, match="n >= 1"):
         RidgeProblem(np.zeros((0, 4)), np.zeros(0), 0.1)
+    with pytest.raises(ValueError, match=r"^need d >= 1 features, got d=0$"):
+        RidgeProblem(np.zeros((3, 0)), np.ones(3), 0.1)
+    with pytest.raises(ValueError, match=r"^need d >= 1 pixels, got d=0$"):
+        CwAttackProblem(np.zeros((2, 0)), np.array([0, 1]), surrogate_classifier(
+            0, 3, spawn_stream(12, "data-gen")))
+    with pytest.raises(ValueError, match=r"^need d >= 1 pixels, got d=-1$"):
+        attack_surrogate_problem(4, -1, 10, spawn_stream(0, "data-gen"))
     with pytest.raises(ValueError, match=r"X must be finite, got X\[0, 0\]=nan"):
         RidgeProblem([[np.nan, 1], [1, 2]], [1, np.inf], 0.1)
     with pytest.raises(ValueError, match=r"y must be finite, got y\[1\]=inf"):
