@@ -32,20 +32,6 @@ from .problems import (
     surrogate_classifier,
 )
 from .zo import ZoEstimatorConfig, zo_gradient
-from .vr import (
-    ExactComponentEstimator,
-    GradientMemory,
-    SvrgSnapshot,
-    ZoComponentEstimator,
-    draw_update_set,
-    init_gradient_memory,
-    memory_update,
-    pm_gradient,
-    sarah_init,
-    sarah_step,
-    svrg_gradient,
-    take_snapshot,
-)
 from .harness import ExperimentResult, ExperimentSpec, emit_csv, emit_svg, run_experiment
 
 __version__ = "0.1.0"

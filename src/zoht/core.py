@@ -99,9 +99,3 @@ class FunctionOracle:
         """F(theta), uncounted: n ``component`` calls. Subclasses may
         vectorize."""
         return sum(self.component(i, theta) for i in range(self.n)) / self.n
-
-    def mean_gradient(self, theta):
-        g = self.component_gradient(0, theta).copy()
-        for i in range(1, self.n):
-            g += self.component_gradient(i, theta)
-        return g / self.n

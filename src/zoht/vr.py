@@ -109,8 +109,9 @@ class BlockMemo:
     served read-only with the generator set to the state after it, so no
     bit changes. The memo keeps at most ``_MEMO_BYTES`` (1 MiB) of one
     stream's first blocks; past those every cell draws its own, and block
-    0 of another stream replaces them. ``states[k]`` is the generator's
-    state before block k and ``states[k + 1]`` after it.
+    0 of another stream replaces them. A generator other than PCG64 always
+    draws its own blocks. ``states[k]`` is the generator's state before
+    block k and ``states[k + 1]`` after it.
 
     ``with BlockMemo():`` (``harness.run_experiment``) opens the memo; exit
     closes it and drops its blocks. A pool worker opens one for life.

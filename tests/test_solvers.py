@@ -469,6 +469,18 @@ def test_decomposition_oracle_d_mismatch_rejected_before_any_query():
     assert calls == []
 
 
+@pytest.mark.parametrize("estimator", ["szoht", "vr-szht"])
+def test_decomposition_black_box_refuses_exact_gradients(estimator):
+    # A black box has no component_gradient of its own, so the exact twin
+    # fails at its first gradient, with the class named.
+    problem = attack_surrogate_problem(4, 48, 10, spawn_stream(0, "data-gen"))
+    zo = ZoEstimatorConfig(q=10, s2=48, mu=1e-3, d=48)
+    with pytest.raises(NotImplementedError,
+                       match="^CwAttackProblem does not expose exact gradients$"):
+        gradient_squared_decomposition(problem, np.zeros(48), zo, 100, seed=1,
+                                       estimator=estimator, exact=True)
+
+
 def test_last_row_describes_final_theta():
     # each iterate is evaluated once, and the trace ends at the iterate the
     # run returns; for sarah-szht that is a random inner iterate of the

@@ -345,3 +345,22 @@ def test_block_memo_serves_no_other_shape_or_stream(other_d, other_seed):
         take(estimator(other_d, other_seed), 2)
         got += take(est, 1)
     assert got == want
+
+
+def test_block_memo_leaves_other_generators_alone():
+    # Only a PCG64 state is compared and kept: any other generator (MT19937's
+    # state holds a key array) draws its own blocks, bit for bit as it would
+    # outside a memo, and leaves the memo empty.
+    problem = ridge_synthetic(5, 40, 0.3, spawn_stream(3, "data-gen"))
+    cfg = ZoEstimatorConfig(q=20, s2=40, mu=1e-4, d=40)
+    theta = np.zeros(40)
+
+    def run():
+        est = ZoComponentEstimator(problem, cfg, np.random.Generator(np.random.MT19937(5)))
+        rows = est._block_rows // cfg.q
+        return np.stack([est.estimate(0, theta) for _ in range(2 * rows)]).tobytes()
+
+    want = run()
+    with BlockMemo() as memo:
+        assert run() == want
+        assert memo.blocks == []

@@ -176,6 +176,36 @@ def test_direction_values_normalised_by_linalg_norm():
             assert values.tobytes() == (g / np.linalg.norm(g, axis=1)[:, None]).tobytes()
 
 
+class _ZeroRowFirst:
+    """A generator whose first standard-normal block has row ``row`` zeroed."""
+
+    def __init__(self, rng, row):
+        self.rng, self.row, self.first = rng, row, True
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        if self.first:
+            out[self.row] = 0.0
+            self.first = False
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("d, s2", [(6, 6), (40, 6)])
+def test_zero_norm_row_is_redrawn_after_all_rows(d, s2):
+    # The redraw of a zero row comes after all q rows of the first block.
+    q, row = 5, 2
+    u = sample_directions(d, s2, q, _ZeroRowFirst(spawn_stream(23, "directions"), row))
+    values = u if s2 == d else u[0]
+    ref = spawn_stream(23, "directions")
+    g = ref.standard_normal((q, s2))
+    g[row] = ref.standard_normal((1, s2))
+    assert values.tobytes() == (g / np.linalg.norm(g, axis=1)[:, None]).tobytes()
+    np.testing.assert_allclose(np.linalg.norm(values, axis=1), 1.0, rtol=1e-14)
+
+
 def test_second_moment_isotropy_full_support():
     # E[u u^T] = I/d on the sphere; entrywise within 0.02 over 1e5 draws.
     rng = spawn_stream(2, "directions")
