@@ -1,10 +1,12 @@
-"""Shared numeric plumbing: seeded RNG streams, the nonzero count, and
-the black-box finite-sum oracle.
+"""Shared numeric plumbing: seeded RNG streams, the nonzero count, the
+integer check of config counts, and the black-box finite-sum oracle.
 
 Vectors are plain 1-D float64 numpy arrays. ``nnz`` counts exact
 ``|v_i| > 0`` (hard thresholding produces exact zeros, so the sparsity
 constraint stays exactly checkable).
 """
+
+import numbers
 
 import numpy as np
 
@@ -44,6 +46,14 @@ def random_subset(rng, n, m):
 
 def nnz(v):
     return int(np.count_nonzero(v))
+
+
+def require_integers(obj, names, optional=()):
+    """Refuse a named count of obj that is not an integer (or None, if optional)."""
+    for name in names + optional:
+        value = getattr(obj, name)
+        if not (isinstance(value, numbers.Integral) or value is None and name in optional):
+            raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
 class FunctionOracle:

@@ -8,34 +8,29 @@ reproduces them byte for byte.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .core import RNG_DESCRIPTION
-from .solvers import ALGORITHMS, SolverConfig, check_budget, run_solver
+from .solvers import ALGORITHMS, RunSettings, SolverConfig, check_budget, run_solver
 from .theory import EPS_IC_TYPO_NOTE
-from .vr import LAW_P_SAGA, BlockMemo
-from .zo import ZoEstimatorConfig
+from .vr import BlockMemo
 
 SVG_FLOOR = 1e-16
 
 
-@dataclass
-class ExperimentSpec:
+@dataclass(kw_only=True)
+class ExperimentSpec(RunSettings):
     problem: object                 # a FunctionOracle instance
     algorithms: list
-    k: int
-    zo: ZoEstimatorConfig
     eta_grid: list
     seeds: list
-    izo_budget: int
-    m: int = None
-    p: int = 1
-    law: str = LAW_P_SAGA
+    p: int = 1                      # a grid runs pm-szht at p = 1 unless told
     problem_name: str = "problem"
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.algorithms or not self.eta_grid or not self.seeds:
             raise ValueError("need at least one algorithm, one eta, one seed")
         for name in ("algorithms", "eta_grid", "seeds"):
@@ -57,20 +52,6 @@ class ExperimentResult:
 
     def diverged_cells(self):
         return sorted(key for key, tr in self.traces.items() if tr.diverged)
-
-
-def _solver_config(spec, algo, eta, seed):
-    return SolverConfig(
-        algorithm=algo,
-        eta=eta,
-        k=spec.k,
-        zo=spec.zo,
-        izo_budget=spec.izo_budget,
-        seed=seed,
-        m=spec.m,
-        p=spec.p,
-        law=spec.law,
-    )
 
 
 # The problem a pool worker runs its cells on, set once per worker by
@@ -147,7 +128,9 @@ def run_experiment(spec, workers=1):
         for algo in spec.algorithms
         for eta in spec.eta_grid
     ]
-    configs = [_solver_config(spec, *cell) for cell in cells]
+    shared = {f.name: getattr(spec, f.name) for f in fields(RunSettings)}
+    configs = [SolverConfig(algorithm=algo, eta=eta, seed=seed, **shared)
+               for algo, eta, seed in cells]
     for cfg in configs:
         check_budget(spec.problem.n, cfg)
     with BlockMemo():

@@ -151,6 +151,9 @@ def ridge_from_csv(path, target_column, lam):
             raise ValueError(
                 "target column %r not found; available: %s" % (target_column, header)
             )
+        if header.count(target_column) > 1:
+            raise ValueError("target column %r appears %d times in the header"
+                             % (target_column, header.count(target_column)))
         if len(header) < 2:
             raise ValueError("no feature column besides the target %r in %s"
                              % (target_column, path))

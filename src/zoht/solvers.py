@@ -27,13 +27,12 @@ svrg-variant), so every run takes a step.
 """
 
 import math
-import numbers
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import nnz, spawn_stream
+from .core import nnz, require_integers, spawn_stream
 from .ht import hard_threshold
 from .vr import (
     LAW_P_SAGA,
@@ -57,37 +56,44 @@ ALGORITHMS = ("fgzoht", "szoht", "pm-szht", "vr-szht", "sarah-szht")
 DIVERGENCE_FACTOR = 1e12
 
 
-@dataclass
-class SolverConfig:
-    algorithm: str
-    eta: float
+@dataclass(kw_only=True)
+class RunSettings:
+    """The settings every run of a grid shares, declared once for
+    ``SolverConfig`` and ``harness.ExperimentSpec``, with their checks."""
+
     k: int
     zo: ZoEstimatorConfig
     izo_budget: int
-    seed: int
     m: int = None                  # inner-loop length (vr / sarah)
     p: int = None                  # memory update rate (pm)
     law: str = LAW_P_SAGA          # memory update-set law (pm)
+
+    def __post_init__(self):
+        require_integers(self, ("k", "izo_budget"), optional=("m", "p"))
+        if not 0 <= self.k <= self.zo.d:
+            raise ValueError("need 0 <= k <= d, got k=%s d=%s" % (self.k, self.zo.d))
+        if self.law not in UPDATE_LAWS:
+            raise ValueError("unknown update law %r" % self.law)
+
+
+@dataclass(kw_only=True)
+class SolverConfig(RunSettings):
+    algorithm: str
+    eta: float
+    seed: int
     shared_directions: bool = False
 
     def __post_init__(self):
-        for name in ("k", "izo_budget", "seed", "m", "p"):
-            value = getattr(self, name)
-            optional = value is None and name in ("m", "p")
-            if not (optional or isinstance(value, numbers.Integral)):
-                raise ValueError("%s must be an integer, got %r" % (name, value))
+        super().__post_init__()
+        require_integers(self, ("seed",))
         if self.algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm %r" % self.algorithm)
         if not 0 <= self.eta < np.inf:
             raise ValueError("eta must be finite and >= 0, got eta=%s" % self.eta)
-        if not 0 <= self.k <= self.zo.d:
-            raise ValueError("need 0 <= k <= d, got k=%s d=%s" % (self.k, self.zo.d))
         if self.algorithm in ("vr-szht", "sarah-szht") and (self.m is None or self.m < 1):
             raise ValueError("%s needs m >= 1, got m=%s" % (self.algorithm, self.m))
         if self.algorithm == "pm-szht" and self.p is None:
             raise ValueError("pm-szht needs the memory update rate p")
-        if self.law not in UPDATE_LAWS:
-            raise ValueError("unknown update law %r" % self.law)
         if self.seed < 0:
             raise ValueError("seed must be >= 0, got %d" % self.seed)
 

@@ -13,8 +13,9 @@ or not the run used the constant.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
+
+from .core import require_integers
 
 EPS_IC_TYPO_NOTE = "eps_Ic uses (d-1) denominator (misprint correction)"
 
@@ -32,11 +33,7 @@ class TheoryParams:
     p: int = None   # memory update rate, where applicable
 
     def __post_init__(self):
-        for name in ("d", "n", "q", "s2", "k", "kstar", "p"):
-            value = getattr(self, name)
-            optional = value is None and name == "p"
-            if not (optional or isinstance(value, numbers.Integral)):
-                raise ValueError("%s must be an integer, got %r" % (name, value))
+        require_integers(self, ("d", "n", "q", "s2", "k", "kstar"), optional=("p",))
         if not 1 <= self.s2 <= self.d:
             raise ValueError("need 1 <= s2 <= d, got s2=%s d=%s" % (self.s2, self.d))
         if self.kstar < 0 or self.k < self.kstar:

@@ -19,10 +19,11 @@ directions of many estimates with one ``sample_directions`` call (up to
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import require_integers
 
 # Reject smoothing radii small enough for the forward difference to be
 # dominated by rounding noise.
@@ -46,10 +47,7 @@ class ZoEstimatorConfig:
     d: int           # ambient dimension
 
     def __post_init__(self):
-        for name in ("q", "s2", "d"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError("%s must be an integer, got %r" % (name, value))
+        require_integers(self, ("q", "s2", "d"))
         if self.q < 1:
             raise ValueError("q must be >= 1, got %d" % self.q)
         if not 1 <= self.s2 <= self.d:

@@ -158,6 +158,17 @@ def test_target_only_csv_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_repeated_target_csv_exits_2(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text("a,a,y\n1,2,3\n4,5,7\n6,8,9\n")
+    code = main(["ridge-csv", "--file", str(path), "--target", "a",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: target column 'a' appears 2 times in the header\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_run_check_exits_2(tmp_path, capsys, monkeypatch):
     from zoht.vr import ZoComponentEstimator
 

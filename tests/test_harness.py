@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from zoht.harness import (
     step_resample,
 )
 from zoht.problems import ridge_synthetic
-from zoht.solvers import ALGORITHMS, RunTrace, run_solver
+from zoht.solvers import ALGORITHMS, RunSettings, RunTrace, SolverConfig, run_solver
 from zoht.zo import ZoEstimatorConfig
 
 
@@ -111,6 +112,48 @@ def test_bad_p_or_law_fails_before_first_cell(monkeypatch):
         run_experiment(_tiny_spec(algorithms=algos, m=2), workers=0)
     assert calls == []
     _tiny_spec(algorithms=["szoht"], p=6)  # p is only checked for pm-szht
+
+
+def test_cells_take_the_spec_run_settings(monkeypatch):
+    # SolverConfig and ExperimentSpec declare the shared run settings once
+    # (RunSettings), and every cell config holds the spec's value of each
+    configs = []
+
+    def record(problem, cfg):
+        configs.append(cfg)
+        return run_solver(problem, cfg)
+
+    monkeypatch.setattr("zoht.harness.run_solver", record)
+    spec = _tiny_spec(algorithms=["szoht", "vr-szht", "pm-szht"], k=3, m=3,
+                      izo_budget=880, law=vr.LAW_SVRG_VARIANT)
+    run_experiment(spec)
+    assert sorted((c.algorithm, c.eta, c.seed) for c in configs) == sorted(
+        (a, e, s) for a in spec.algorithms for e in spec.eta_grid for s in spec.seeds)
+    for cfg in configs:
+        for f in fields(RunSettings):
+            assert getattr(cfg, f.name) is getattr(spec, f.name), f.name
+
+
+def test_spec_runs_pm_at_p_1_unless_told():
+    shared = {f.name: getattr(_tiny_spec(), f.name) for f in fields(ExperimentSpec)}
+    del shared["p"]
+    spec = ExperimentSpec(**shared)
+    assert spec.p == 1
+    assert run_experiment(spec).traces[("pm-szht", 0.01, 1)].config.p == 1
+    # a lone config has no such default
+    cell = {name: shared[name] for name in ("k", "zo", "izo_budget")}
+    with pytest.raises(ValueError, match="^pm-szht needs the memory update rate p$"):
+        SolverConfig(algorithm="pm-szht", eta=0.01, seed=1, **cell)
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(k=9), "need 0 <= k <= d, got k=9 d=4"),
+    (dict(law="bogus"), "unknown update law 'bogus'"),
+    (dict(izo_budget=900.0), "izo_budget must be an integer, got 900.0"),
+])
+def test_bad_run_setting_refused_when_spec_is_built(kw, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        _tiny_spec(**kw)
 
 
 def test_select_best_eta_pure_rule():

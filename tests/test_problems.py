@@ -104,6 +104,19 @@ def test_csv_missing_target_names_headers(tmp_path):
         ridge_from_csv(str(path), "zz", 0.1)
 
 
+def test_csv_repeated_target_refused(tmp_path):
+    # either 'a' could be the target, so the loader names the clash
+    # instead of picking one
+    path = tmp_path / "t.csv"
+    path.write_text("a,a,y\n1,2,3\n4,5,7\n6,8,9\n")
+    with pytest.raises(ValueError, match="^target column 'a' appears 2 times in the header$"):
+        ridge_from_csv(str(path), "a", 0.1)
+    # a repeated feature name is still accepted
+    problem = ridge_from_csv(str(path), "y", 0.1)
+    assert (problem.n, problem.d) == (3, 2)
+    np.testing.assert_array_equal(problem.y, [3.0, 7.0, 9.0])
+
+
 def test_csv_with_byte_order_mark(tmp_path):
     # Spreadsheet exports start the file with a BOM; it is not part of the
     # first column's name.
