@@ -11,18 +11,6 @@ from .solvers import (
     gradient_squared_decomposition,
     run_solver,
 )
-from .theory import (
-    EpsilonConstants,
-    EtaInterval,
-    TheoryParams,
-    alpha,
-    complexity_estimate,
-    epsilon_constants,
-    pm_eta_interval,
-    sarah_eta_interval,
-    szoht_conditions,
-    vrszht_eta_interval,
-)
 from .problems import (
     CwAttackProblem,
     RidgeProblem,

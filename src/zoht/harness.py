@@ -41,6 +41,17 @@ class ExperimentSpec(RunSettings):
         if bad:
             raise ValueError("unknown algorithm(s) %s (known: %s)"
                              % (bad, ",".join(ALGORITHMS)))
+        self.cells()
+
+    def cells(self):
+        """{(algorithm, eta, seed): SolverConfig}, seed by seed, each config
+        built from the spec's run settings and budget-checked on its problem."""
+        shared = {f.name: getattr(self, f.name) for f in fields(RunSettings)}
+        cells = {(algo, eta, seed): SolverConfig(algorithm=algo, eta=eta, seed=seed, **shared)
+                 for seed in self.seeds for algo in self.algorithms for eta in self.eta_grid}
+        for cfg in cells.values():
+            check_budget(self.problem.n, cfg)
+        return cells
 
 
 @dataclass
@@ -113,8 +124,8 @@ def run_experiment(spec, workers=1):
     """Execute every (algorithm, eta, seed) cell, pick each algorithm's
     best eta by ``_eta_score`` and ``select_best_eta``, and aggregate
     mean +- std curves on common IZO and NHT grids. Divergent cells are
-    kept and flagged. workers < 1, or a budget too small for any cell's
-    first step, is refused before the first cell runs.
+    kept and flagged. Only workers is checked here (workers < 1 is
+    refused); ``spec.cells()`` checked the cells when the spec was built.
 
     Cells run seed by seed (every algorithm and eta of one seed, then the
     next seed), since the cells of one seed draw the same direction
@@ -122,17 +133,7 @@ def run_experiment(spec, workers=1):
     output is keyed by cell or sorted, so the order changes none."""
     if workers < 1:
         raise ValueError("workers must be >= 1, got %r" % (workers,))
-    cells = [
-        (algo, eta, seed)
-        for seed in spec.seeds
-        for algo in spec.algorithms
-        for eta in spec.eta_grid
-    ]
-    shared = {f.name: getattr(spec, f.name) for f in fields(RunSettings)}
-    configs = [SolverConfig(algorithm=algo, eta=eta, seed=seed, **shared)
-               for algo, eta, seed in cells]
-    for cfg in configs:
-        check_budget(spec.problem.n, cfg)
+    cells = spec.cells()
     with BlockMemo():
         if workers > 1:
             # Imported here: a serial run needs no multiprocessing. Fork
@@ -140,13 +141,13 @@ def run_experiment(spec, workers=1):
             # for no more than there are cells.
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(
-                max_workers=min(workers, len(configs)),
+                max_workers=min(workers, len(cells)),
                 initializer=_init_worker,
                 initargs=(spec.problem,),
             ) as pool:
-                outs = list(pool.map(_run_cell, configs))
+                outs = list(pool.map(_run_cell, cells.values()))
         else:
-            outs = [run_solver(spec.problem, cfg) for cfg in configs]
+            outs = [run_solver(spec.problem, cfg) for cfg in cells.values()]
     traces = dict(zip(cells, outs))
 
     best_eta = {}

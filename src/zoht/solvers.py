@@ -87,7 +87,8 @@ class SolverConfig(RunSettings):
         super().__post_init__()
         require_integers(self, ("seed",))
         if self.algorithm not in ALGORITHMS:
-            raise ValueError("unknown algorithm %r" % self.algorithm)
+            raise ValueError("unknown algorithm %r (known: %s)"
+                             % (self.algorithm, ",".join(ALGORITHMS)))
         if not 0 <= self.eta < np.inf:
             raise ValueError("eta must be finite and >= 0, got eta=%s" % self.eta)
         if self.algorithm in ("vr-szht", "sarah-szht") and (self.m is None or self.m < 1):

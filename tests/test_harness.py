@@ -156,6 +156,24 @@ def test_bad_run_setting_refused_when_spec_is_built(kw, message):
         _tiny_spec(**kw)
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(seeds=[1, 1.5]), "seed must be an integer, got 1.5"),
+    (dict(eta_grid=[np.nan]), "eta must be finite and >= 0, got eta=nan"),
+    (dict(p=9), "pm-szht needs 1 <= p <= n, got p=9 n=5"),
+    (dict(izo_budget=10), "izo_budget 10 below szoht's least budget, 55 IZO"),
+    (dict(seeds=[1, -1]), "seed must be >= 0, got -1"),
+])
+def test_bad_cell_refused_when_spec_is_built(kw, message):
+    # the spec holds the problem, so it checks every cell, its budget
+    # included, before run_experiment is called
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        _tiny_spec(**kw)
+    # cells come seed by seed, the order vr.BlockMemo needs
+    spec = _tiny_spec(seeds=[2, 1])
+    assert list(spec.cells()) == [
+        (a, e, s) for s in (2, 1) for a in spec.algorithms for e in spec.eta_grid]
+
+
 def test_select_best_eta_pure_rule():
     assert select_best_eta({0.1: 3.0, 0.01: 1.0}) == 0.01
     # ties break toward the smaller eta

@@ -668,6 +668,10 @@ def test_config_validation():
     zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
     with pytest.raises(ValueError):
         SolverConfig(algorithm="nope", eta=0.1, k=2, zo=zo, izo_budget=100, seed=0)
+    # a removed short name gets the list of the five
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "unknown algorithm 'vr' (known: fgzoht,szoht,pm-szht,vr-szht,sarah-szht)")):
+        SolverConfig(algorithm="vr", eta=0.1, k=2, zo=zo, izo_budget=100, seed=0)
     with pytest.raises(ValueError):
         SolverConfig(algorithm="vr-szht", eta=0.1, k=2, zo=zo, izo_budget=100, seed=0)
     with pytest.raises(ValueError):
