@@ -37,7 +37,6 @@ from .ht import hard_threshold
 from .vr import (
     LAW_P_SAGA,
     UPDATE_LAWS,
-    ExactComponentEstimator,
     ZoComponentEstimator,
     draw_update_set,
     init_gradient_memory,
@@ -327,36 +326,27 @@ def expected_izo(oracle_n, trace):
     raise ValueError(algo)
 
 
-def gradient_squared_decomposition(
-    oracle,
-    theta,
-    cfg,
-    samples,
-    seed,
-    estimator="szoht",
-    exact=False,
-    shared_directions=False,
-):
+def gradient_squared_decomposition(source, theta, samples, seed, estimator="szoht"):
     """Monte Carlo split of a gradient estimator's second moment at theta
     into (variance, squared-mean) parts: E||g||^2 = Var + ||E g||^2 with
     both terms estimated from ``samples`` independent realizations.
 
-    ``estimator`` is one of ``ALGORITHMS``; ``exact`` swaps the zeroth-order
-    source for exact component gradients (diagnostic mode). Snapshot and
-    memory states are built once at theta, then held fixed across samples.
-    At a fixed theta a recursion step is the snapshot estimator anchored at
+    ``estimator`` is one of ``ALGORITHMS``; ``source`` is the per-component
+    gradient source its draws use, as given: a ``vr.ZoComponentEstimator``
+    (its config, direction stream and coupling) or the exact twin
+    ``vr.ExactComponentEstimator``. ``seed`` drives only the component
+    indices; only a fresh source on ``spawn_stream(seed, "directions")``
+    reproduces the draws of a run with that seed. Snapshot and memory
+    states are built once at theta, then held fixed across samples. At a
+    fixed theta a recursion step is the snapshot estimator anchored at
     theta, so sarah-szht draws exactly as vr-szht does. Refused below 100
     samples.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
     theta = np.asarray(theta, dtype=np.float64)
-    dir_rng = spawn_stream(seed, "directions")
+    oracle = source.oracle
     idx_rng = spawn_stream(seed, "indices")
-    if exact:
-        source = ExactComponentEstimator(oracle)
-    else:
-        source = ZoComponentEstimator(oracle, cfg, dir_rng, shared_directions)
 
     snapshot = memory = None
     if estimator in ("vr-szht", "sarah-szht"):

@@ -83,33 +83,19 @@ def test_spec_validation():
     # message lists the five
     for first, second in (("saga", "pm-szht"), ("vr-szht", "vr"), ("sarah", "sarah-szht")):
         old = second if first in ALGORITHMS else first
-        with pytest.raises(ValueError, match=re.escape(
-                "unknown algorithm(s) ['%s'] (known: %s)" % (old, ",".join(ALGORITHMS)))):
-            _tiny_spec(algorithms=["szoht", first, second])
+        with pytest.raises(ValueError, match="^%s$" % re.escape(
+                "unknown algorithm '%s' (known: %s)" % (old, ",".join(ALGORITHMS)))):
+            _tiny_spec(algorithms=["szoht", first, second], m=2)
 
 
 def test_bad_p_or_law_fails_before_first_cell(monkeypatch):
-    # pm-szht runs last in this line-up, so a late check would first run
-    # the szoht and vr-szht cells
+    # a bad p, law, budget or seed is refused when the spec is built
+    # (test_bad_cell_refused_when_spec_is_built); run_experiment itself
+    # checks only workers, and before the first cell
     calls = []
     monkeypatch.setattr("zoht.harness.run_solver", lambda *args: calls.append(args))
-    algos = ["szoht", "vr-szht", "pm-szht"]
-    for p in (0, 6):
-        with pytest.raises(ValueError, match="p=%d n=5" % p):
-            run_experiment(_tiny_spec(algorithms=algos, m=2, p=p))
-    with pytest.raises(ValueError, match="'bogus'"):
-        run_experiment(_tiny_spec(algorithms=algos, m=2, law="bogus"))
-    # one full pass (55 IZO) is szoht's least budget, not vr's
-    with pytest.raises(ValueError, match="vr-szht's least budget, 77 IZO"):
-        run_experiment(_tiny_spec(algorithms=algos, m=2, izo_budget=55))
-    # seed 1 comes first, so a late check would run its cells
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        run_experiment(_tiny_spec(algorithms=algos, m=2, seeds=[1, -1]))
-    # int(1.5) would run seed 1's streams a second time
-    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
-        run_experiment(_tiny_spec(algorithms=algos, m=2, seeds=[1, 1.5]))
     with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
-        run_experiment(_tiny_spec(algorithms=algos, m=2), workers=0)
+        run_experiment(_tiny_spec(algorithms=["szoht", "vr-szht", "pm-szht"], m=2), workers=0)
     assert calls == []
     _tiny_spec(algorithms=["szoht"], p=6)  # p is only checked for pm-szht
 
@@ -162,6 +148,10 @@ def test_bad_run_setting_refused_when_spec_is_built(kw, message):
     (dict(p=9), "pm-szht needs 1 <= p <= n, got p=9 n=5"),
     (dict(izo_budget=10), "izo_budget 10 below szoht's least budget, 55 IZO"),
     (dict(seeds=[1, -1]), "seed must be >= 0, got -1"),
+    (dict(p=0), "pm-szht needs 1 <= p <= n, got p=0 n=5"),
+    # one full pass (55 IZO) is szoht's least budget, not vr's
+    (dict(algorithms=["szoht", "vr-szht", "pm-szht"], m=2, izo_budget=55),
+     "izo_budget 55 below vr-szht's least budget, 77 IZO"),
 ])
 def test_bad_cell_refused_when_spec_is_built(kw, message):
     # the spec holds the problem, so it checks every cell, its budget

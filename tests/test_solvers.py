@@ -52,6 +52,11 @@ def _cfg(algorithm, *, eta, k, zo, budget, seed, **kw):
     )
 
 
+def _zo_source(problem, zo, seed):
+    """The zeroth-order source a run with this seed draws from."""
+    return ZoComponentEstimator(problem, zo, spawn_stream(seed, "directions"))
+
+
 def test_szoht_per_iteration_deltas():
     problem = ridge_synthetic(5, 4, 0.1, spawn_stream(0, "data-gen"))
     zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
@@ -464,8 +469,10 @@ def test_decomposition_oracle_d_mismatch_rejected_before_any_query():
 
     problem.component = counting
     zo = ZoEstimatorConfig(q=10, s2=1, mu=1e-3, d=1)
-    with pytest.raises(ValueError, match="oracle has d=48 but cfg.zo.d=1"):
-        gradient_squared_decomposition(problem, np.zeros(1), zo, 100, seed=1)
+    # the decomposition takes a built source, and the source's constructor
+    # refuses a config whose d is not the oracle's
+    with pytest.raises(ValueError, match="^oracle has d=48 but cfg.zo.d=1$"):
+        gradient_squared_decomposition(_zo_source(problem, zo, 1), np.zeros(1), 100, seed=1)
     assert calls == []
 
 
@@ -474,11 +481,10 @@ def test_decomposition_black_box_refuses_exact_gradients(estimator):
     # A black box has no component_gradient of its own, so the exact twin
     # fails at its first gradient, with the class named.
     problem = attack_surrogate_problem(4, 48, 10, spawn_stream(0, "data-gen"))
-    zo = ZoEstimatorConfig(q=10, s2=48, mu=1e-3, d=48)
     with pytest.raises(NotImplementedError,
                        match="^CwAttackProblem does not expose exact gradients$"):
-        gradient_squared_decomposition(problem, np.zeros(48), zo, 100, seed=1,
-                                       estimator=estimator, exact=True)
+        gradient_squared_decomposition(ExactComponentEstimator(problem), np.zeros(48), 100,
+                                       seed=1, estimator=estimator)
 
 
 def test_last_row_describes_final_theta():
@@ -634,10 +640,9 @@ def test_vr_collapses_to_exact_descent_for_n_1():
 
 def test_decomposition_deterministic_estimator_zero_variance():
     problem = ridge_synthetic(4, 3, 0.2, spawn_stream(15, "data-gen"))
-    zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
     var, mean_sq = gradient_squared_decomposition(
-        problem, np.array([0.1, 0.2, 0.3]), zo, 200, seed=16,
-        estimator="fgzoht", exact=True,
+        ExactComponentEstimator(problem), np.array([0.1, 0.2, 0.3]), 200, seed=16,
+        estimator="fgzoht",
     )
     assert var <= 1e-12
     np.testing.assert_allclose(
@@ -650,9 +655,9 @@ def test_decomposition_deterministic_estimator_zero_variance():
 def test_decomposition_svrg_anchor_shared_zero_variance():
     problem = ridge_synthetic(4, 3, 0.2, spawn_stream(17, "data-gen"))
     zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
+    shared = ZoComponentEstimator(problem, zo, spawn_stream(18, "directions"), True)
     var, _ = gradient_squared_decomposition(
-        problem, np.array([0.3, -0.1, 0.0]), zo, 200, seed=18,
-        estimator="vr-szht", shared_directions=True,
+        shared, np.array([0.3, -0.1, 0.0]), 200, seed=18, estimator="vr-szht"
     )
     assert var <= 1e-12
 
@@ -661,7 +666,7 @@ def test_decomposition_refuses_few_samples():
     problem = ridge_synthetic(4, 3, 0.2, spawn_stream(19, "data-gen"))
     zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
     with pytest.raises(ValueError):
-        gradient_squared_decomposition(problem, np.zeros(3), zo, 99, seed=20)
+        gradient_squared_decomposition(_zo_source(problem, zo, 20), np.zeros(3), 99, seed=20)
 
 
 def test_config_validation():
@@ -763,17 +768,19 @@ def test_decomposition_memory_and_recursive_estimators():
     theta = np.array([0.2, -0.3, 0.1])
     for estimator in ("pm-szht", "sarah-szht"):
         var, mean_sq = gradient_squared_decomposition(
-            problem, theta, zo, 300, seed=27, estimator=estimator
+            _zo_source(problem, zo, 27), theta, 300, seed=27, estimator=estimator
         )
         assert var >= 0.0 and np.isfinite(mean_sq)
     # At a fixed theta a recursion step is the snapshot estimator anchored
     # there: the same draws give the same numbers.
     assert gradient_squared_decomposition(
-        problem, theta, zo, 300, seed=27, estimator="sarah-szht"
-    ) == gradient_squared_decomposition(problem, theta, zo, 300, seed=27, estimator="vr-szht")
+        _zo_source(problem, zo, 27), theta, 300, seed=27, estimator="sarah-szht"
+    ) == gradient_squared_decomposition(
+        _zo_source(problem, zo, 27), theta, 300, seed=27, estimator="vr-szht"
+    )
     with pytest.raises(ValueError):
         gradient_squared_decomposition(
-            problem, theta, zo, 300, seed=28, estimator="bogus"
+            _zo_source(problem, zo, 28), theta, 300, seed=28, estimator="bogus"
         )
 
 
@@ -782,7 +789,8 @@ def test_decomposition_under_every_solver_name(estimator):
     problem = ridge_synthetic(4, 3, 0.2, spawn_stream(26, "data-gen"))
     zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
     var, mean_sq = gradient_squared_decomposition(
-        problem, np.array([0.2, -0.3, 0.1]), zo, 100, seed=29, estimator=estimator
+        _zo_source(problem, zo, 29), np.array([0.2, -0.3, 0.1]), 100, seed=29,
+        estimator=estimator,
     )
     assert np.isfinite(var) and var >= 0.0
     assert np.isfinite(mean_sq) and mean_sq > 0.0
@@ -794,7 +802,8 @@ def test_decomposition_refuses_old_estimator_names(old):
     zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
     with pytest.raises(ValueError, match=re.escape(
             "unknown estimator '%s' (known: %s)" % (old, ",".join(ALGORITHMS)))):
-        gradient_squared_decomposition(problem, np.zeros(3), zo, 100, seed=30, estimator=old)
+        gradient_squared_decomposition(_zo_source(problem, zo, 30), np.zeros(3), 100, seed=30,
+                                       estimator=old)
 
 
 def test_decomposition_deterministic_variance_is_not_cancellation_residue():
@@ -802,13 +811,31 @@ def test_decomposition_deterministic_variance_is_not_cancellation_residue():
     # so every draw is the same vector and the variance is 0 up to the
     # rounding of the draws' mean. The one-pass E||g||^2 - ||E g||^2
     # cancels to residue near 1e-15 * ||E g||^2 on most of these instances.
-    zo = ZoEstimatorConfig(q=5, s2=30, mu=1e-4, d=30)
     theta = np.zeros(30)
     theta[:3] = [0.3, -0.2, 0.1]
     for seed in range(5):
         problem = ridge_synthetic(10, 30, 0.5, spawn_stream(seed, "data-gen"))
         for estimator in ("fgzoht", "vr-szht", "sarah-szht"):
             var, mean_sq = gradient_squared_decomposition(
-                problem, theta, zo, 100, seed=seed, estimator=estimator, exact=True
+                ExactComponentEstimator(problem), theta, 100, seed=seed, estimator=estimator
             )
             assert 0.0 <= var <= 1e-20 * mean_sq, (seed, estimator, var, mean_sq)
+
+
+def test_decomposition_uses_its_source_as_given():
+    # A source on another stream, one estimate into it: the szoht draws are
+    # its next estimates at component indices from the seed's index stream.
+    problem = ridge_synthetic(4, 3, 0.2, spawn_stream(31, "data-gen"))
+    zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
+    theta = np.array([0.2, -0.3, 0.1])
+    source, twin = _zo_source(problem, zo, 99), _zo_source(problem, zo, 99)
+    source.estimate(0, theta)
+    twin.estimate(0, theta)
+    before = source.izo
+    got = gradient_squared_decomposition(source, theta, 100, seed=31)
+    idx_rng = spawn_stream(31, "indices")
+    draws = np.stack([twin.estimate(int(idx_rng.integers(4)), theta) for _ in range(100)])
+    mean_g = draws.mean(axis=0)
+    want = (float(np.mean(np.sum((draws - mean_g) ** 2, axis=1))), float(mean_g @ mean_g))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert source.izo - before == 100 * (zo.q + 1)
