@@ -49,10 +49,11 @@ def nnz(v):
 
 
 def require_integers(obj, names, optional=()):
-    """Refuse a named count of obj that is not an integer (or None, if optional)."""
+    """Refuse a named count of obj that is a bool or not an integer (or None, if optional)."""
     for name in names + optional:
         value = getattr(obj, name)
-        if not (isinstance(value, numbers.Integral) or value is None and name in optional):
+        integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        if not (integer or value is None and name in optional):
             raise ValueError("%s must be an integer, got %r" % (name, value))
 
 

@@ -7,6 +7,7 @@ no timestamps and print floats with repr precision, so re-running a spec
 reproduces them byte for byte.
 """
 
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 
@@ -120,15 +121,15 @@ def run_experiment(spec, workers=1):
     """Execute every (algorithm, eta, seed) cell, pick each algorithm's
     best eta by ``_eta_score`` and ``select_best_eta``, and aggregate
     mean +- std curves on common IZO and NHT grids. Divergent cells are
-    kept and flagged. Only workers is checked here (workers < 1 is
-    refused); ``spec.cells()`` checked the cells when the spec was built.
+    kept and flagged. Only workers is checked here (it must be an integer
+    >= 1); ``spec.cells()`` checked the cells when the spec was built.
 
     Cells run seed by seed (every algorithm and eta of one seed, then the
     next seed), since the cells of one seed draw the same direction
     stream and share its first blocks through a ``vr.BlockMemo``. Every
     output is keyed by cell or sorted, so the order changes none."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1, got %r" % (workers,))
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError("workers must be an integer >= 1, got %r" % (workers,))
     cells = spec.cells()
     with BlockMemo():
         if workers > 1:
@@ -198,6 +199,8 @@ def emit_csv(result, out_dir):
         fh.write("izo_budget=%d\n" % spec.izo_budget)
         fh.write("k=%d\nq=%d\nmu=%s\ns2=%d\n"
                  % (spec.k, spec.zo.q, _fmt(spec.zo.mu), spec.zo.s2))
+        if spec.zo.shared_directions:
+            fh.write("shared_directions=1\n")
         if spec.m is not None:
             fh.write("m=%d\n" % spec.m)
         if spec.p is not None:

@@ -80,7 +80,6 @@ class SolverConfig(RunSettings):
     algorithm: str
     eta: float
     seed: int
-    shared_directions: bool = False
 
     def __post_init__(self):
         super().__post_init__()
@@ -164,9 +163,7 @@ class _Run:
         self.cfg = cfg
         self.idx_rng = spawn_stream(cfg.seed, "indices")
         self.mem_rng = spawn_stream(cfg.seed, "memory-sets")
-        self.est = ZoComponentEstimator(
-            oracle, cfg.zo, spawn_stream(cfg.seed, "directions"), cfg.shared_directions
-        )
+        self.est = ZoComponentEstimator(oracle, cfg.zo, spawn_stream(cfg.seed, "directions"))
         self.theta = np.zeros(cfg.zo.d)
         self.trace = RunTrace(final_theta=None, config=cfg, izo=0, nht=0)
         self.fval = oracle.mean_value(self.theta)
@@ -333,7 +330,7 @@ def gradient_squared_decomposition(source, theta, samples, seed, estimator="szoh
 
     ``estimator`` is one of ``ALGORITHMS``; ``source`` is the per-component
     gradient source its draws use, as given: a ``vr.ZoComponentEstimator``
-    (its config, direction stream and coupling) or the exact twin
+    (its config, coupling included, and its direction stream) or the exact twin
     ``vr.ExactComponentEstimator``. ``seed`` drives only the component
     indices; only a fresh source on ``spawn_stream(seed, "directions")``
     reproduces the draws of a run with that seed. Snapshot and memory

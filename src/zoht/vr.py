@@ -5,8 +5,8 @@ recursive-difference (SARAH) estimator is the snapshot estimator whose
 anchor moves to each new iterate, carrying the last g as its gradient.
 
 All of them are generic over the inner per-component gradient source: the
-zeroth-order estimator for real runs, or exact gradients for test stubs,
-which is what makes exhaustive enumeration oracles feasible in tests.
+zeroth-order estimator for runs, or exact gradients for an exact variance
+decomposition and for exhaustive enumeration oracles in tests.
 """
 
 from dataclasses import dataclass
@@ -45,13 +45,12 @@ class ZoComponentEstimator:
     for when it serves one); with none open every block is drawn.
     """
 
-    def __init__(self, oracle, cfg, rng, shared_directions=False):
+    def __init__(self, oracle, cfg, rng):
         if getattr(oracle, "d", None) not in (None, cfg.d):
             raise ValueError("oracle has d=%d but cfg.zo.d=%d" % (oracle.d, cfg.d))
         self.oracle = oracle
         self.cfg = cfg
         self.rng = rng
-        self.shared_directions = shared_directions
         self.izo = 0
         self._block_rows = max(1, _BLOCK_ENTRIES // (cfg.q * cfg.s2)) * cfg.q
         self._block = None
@@ -88,9 +87,9 @@ class ZoComponentEstimator:
 
     def estimate_pair(self, i, theta_a, theta_b):
         """Estimates of grad f_i at two points. Directions are independent
-        draws by default; with shared_directions the same direction set is
-        reused, so identical points cancel exactly."""
-        dirs = self._directions() if self.shared_directions else None
+        draws by default; with cfg.shared_directions the same direction set
+        is reused, so identical points cancel exactly."""
+        dirs = self._directions() if self.cfg.shared_directions else None
         return self.estimate(i, theta_a, dirs), self.estimate(i, theta_b, dirs)
 
     def full(self, theta):
@@ -165,8 +164,8 @@ _memo = None
 
 
 class ExactComponentEstimator:
-    """Exact-gradient stub with the same surface; charges no IZO
-    (first-order information is outside the query model)."""
+    """Exact-gradient twin with the same surface, for exact decompositions
+    and tests; charges no IZO (first-order information is outside the query model)."""
 
     def __init__(self, oracle):
         self.oracle = oracle

@@ -45,6 +45,7 @@ class ZoEstimatorConfig:
     s2: int          # support size of each direction, 1 <= s2 <= d
     mu: float        # smoothing radius
     d: int           # ambient dimension
+    shared_directions: bool = False  # a VR pair reuses one direction set
 
     def __post_init__(self):
         require_integers(self, ("q", "s2", "d"))

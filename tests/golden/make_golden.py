@@ -25,6 +25,7 @@ import json
 import os
 import platform
 import shutil
+from dataclasses import replace
 
 import numpy as np
 
@@ -69,8 +70,8 @@ def _library_cases():
         for algorithm in ALGORITHMS:
             for shared in (False, True):
                 cfg = SolverConfig(
-                    algorithm=algorithm, eta=eta, k=k, zo=zo, izo_budget=budget,
-                    seed=7, m=3, p=2, shared_directions=shared,
+                    algorithm=algorithm, eta=eta, k=k, zo=replace(zo, shared_directions=shared),
+                    izo_budget=budget, seed=7, m=3, p=2,
                 )
                 yield "%s/%s/shared=%d" % (name, algorithm, shared), problem, cfg
 

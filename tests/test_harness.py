@@ -94,8 +94,11 @@ def test_bad_p_or_law_fails_before_first_cell(monkeypatch):
     # checks only workers, and before the first cell
     calls = []
     monkeypatch.setattr("zoht.harness.run_solver", lambda *args: calls.append(args))
-    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
-        run_experiment(_tiny_spec(algorithms=["szoht", "vr-szht", "pm-szht"], m=2), workers=0)
+    spec = _tiny_spec(algorithms=["szoht", "vr-szht", "pm-szht"], m=2)
+    for workers in (0, 2.5):
+        with pytest.raises(ValueError, match="^workers must be an integer >= 1, got %s$"
+                           % re.escape(repr(workers))):
+            run_experiment(spec, workers=workers)
     assert calls == []
     _tiny_spec(algorithms=["szoht"], p=6)  # p is only checked for pm-szht
 
@@ -224,7 +227,7 @@ def test_csv_schemas(tmp_path):
     meta = [p for p in paths if p.endswith("meta.txt")][0]
     text = Path(meta).read_text()
     assert "rng=" in text and "best_eta_szoht=" in text and "misprint" in text
-    assert "\np=1\n" in text
+    assert "\np=1\n" in text and "shared_directions" not in text
     # without pm-szht, p may be unset: meta.txt then omits it, as it does m
     spec = _tiny_spec(algorithms=["szoht"], eta_grid=[0.02], seeds=[5], p=None)
     paths = emit_csv(run_experiment(spec), str(tmp_path / "no_p"))
@@ -391,7 +394,7 @@ def test_grid_imports_no_module():
 
 # -- direction blocks shared by the cells of a seed ---------------------------
 
-def _memo_spec(d, s2, seeds=(1, 2)):
+def _memo_spec(d, s2, seeds=(1, 2), shared=False):
     """Five solvers x three etas, the last of which diverges. With q = 20
     and s2 = 6 a direction block holds 136 estimates (261,120 bytes at
     s2 < d), so a cell of 300 estimates takes three blocks."""
@@ -400,7 +403,7 @@ def _memo_spec(d, s2, seeds=(1, 2)):
         problem=problem,
         algorithms=list(ALGORITHMS),
         k=3,
-        zo=ZoEstimatorConfig(q=20, s2=s2, mu=1e-4, d=d),
+        zo=ZoEstimatorConfig(q=20, s2=s2, mu=1e-4, d=d, shared_directions=shared),
         eta_grid=[0.01, 0.05, 50.0],
         seeds=list(seeds),
         izo_budget=21 * 300,
@@ -423,17 +426,21 @@ def _counting_sampler(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("d, s2, cap, workers", [
-    (6, 6, None, 1),
-    (40, 6, None, 1),
-    (40, 6, 261_120, 1),   # the memo holds block 0 only; cells draw the rest
-    (6, 6, 130_560, 1),
-    (40, 6, None, 2),
+@pytest.mark.parametrize("d, s2, cap, workers, shared", [
+    pytest.param(6, 6, None, 1, False, id="6-6-None-1"),
+    pytest.param(40, 6, None, 1, False, id="40-6-None-1"),
+    # the memo holds block 0 only; cells draw the rest
+    pytest.param(40, 6, 261_120, 1, False, id="40-6-261120-1"),
+    pytest.param(6, 6, 130_560, 1, False, id="6-6-130560-1"),
+    pytest.param(40, 6, None, 2, False, id="40-6-None-2"),
+    # coupled pairs take q rows instead of 2q
+    pytest.param(40, 6, None, 1, True, id="40-6-None-1-shared"),
+    pytest.param(40, 6, None, 2, True, id="40-6-None-2-shared"),
 ])
-def test_grid_traces_equal_solo_runs(monkeypatch, d, s2, cap, workers):
+def test_grid_traces_equal_solo_runs(monkeypatch, tmp_path, d, s2, cap, workers, shared):
     if cap is not None:
         monkeypatch.setattr(vr, "_MEMO_BYTES", cap)
-    spec = _memo_spec(d, s2)
+    spec = _memo_spec(d, s2, shared=shared)
     calls = _counting_sampler(monkeypatch)
     grid = run_experiment(spec, workers=workers)
     grid_calls = len(calls)
@@ -441,6 +448,7 @@ def test_grid_traces_equal_solo_runs(monkeypatch, d, s2, cap, workers):
     for (algo, eta, seed), tr in grid.traces.items():
         solo = run_solver(spec.problem, tr.config)
         assert (algo, eta, seed) == (tr.config.algorithm, tr.config.eta, tr.config.seed)
+        assert tr.config.zo.shared_directions is shared
         assert tr.rows == solo.rows, (algo, eta, seed)
         assert tr.final_theta.tobytes() == solo.final_theta.tobytes()
         assert (tr.izo, tr.nht, tr.diverged, tr.epochs, tr.memory_updates) == (
@@ -448,6 +456,8 @@ def test_grid_traces_equal_solo_runs(monkeypatch, d, s2, cap, workers):
     assert all(memo is None for _, memo in calls[grid_calls:])
     diverged = {eta for _, eta, _ in grid.diverged_cells()}
     assert diverged == {50.0}
+    meta = Path(emit_csv(grid, str(tmp_path))[-1]).read_text()
+    assert ("\nshared_directions=1\n" in meta) is shared
     if workers == 1:
         # Solo runs draw every block they take. Under the cap the grid draws
         # a seed's three blocks once; at a cap of one block it draws block 0

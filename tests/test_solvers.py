@@ -2,6 +2,7 @@ import gc
 import itertools
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,8 +225,8 @@ def test_all_solvers_seed_deterministic_and_sparse():
             kw["p"] = min(2, problem.n)
         if algo in ("vr-szht", "sarah-szht"):
             kw["m"] = 3
-        cfg = _cfg(algo, eta=0.05, k=k, zo=zo, budget=1500, seed=11,
-                   shared_directions=shared, **kw)
+        cfg = _cfg(algo, eta=0.05, k=k, zo=replace(zo, shared_directions=shared),
+                   budget=1500, seed=11, **kw)
         t1 = run_solver(problem, cfg)
         t2 = run_solver(problem, cfg)
         assert t1.rows == t2.rows
@@ -258,10 +259,9 @@ def test_budget_is_a_ceiling_and_spent_to_the_last_unit():
         cases, algos, (False, True), (1111, 1500)
     ):
         n = problem.n
-        zo = ZoEstimatorConfig(q=q, s2=s2, mu=1e-4, d=problem.d)
+        zo = ZoEstimatorConfig(q=q, s2=s2, mu=1e-4, d=problem.d, shared_directions=shared)
         for eta in etas:
-            cfg = _cfg(algo, eta=eta, k=3, zo=zo, budget=budget, seed=41, m=m, p=2,
-                       shared_directions=shared)
+            cfg = _cfg(algo, eta=eta, k=3, zo=zo, budget=budget, seed=41, m=m, p=2)
             trace = run_solver(problem, cfg)
             where = (problem.d, algo, shared, budget, eta)
             assert trace.izo <= budget, where
@@ -308,8 +308,8 @@ def test_power_of_two_scaling_is_exact():
     for (problem, s2, eta), algo, (j, shared) in itertools.product(
         cases, algos, ((-3, False), (5, True))
     ):
-        zo = ZoEstimatorConfig(q=12, s2=s2, mu=1e-4, d=problem.d)
-        kw = dict(k=3, zo=zo, budget=1500, seed=11, m=3, p=2, shared_directions=shared)
+        zo = ZoEstimatorConfig(q=12, s2=s2, mu=1e-4, d=problem.d, shared_directions=shared)
+        kw = dict(k=3, zo=zo, budget=1500, seed=11, m=3, p=2)
         plain = run_solver(problem, _cfg(algo, eta=eta, **kw))
         scaled = run_solver(ScaledOracle(problem, 2.0 ** j),
                             _cfg(algo, eta=eta * 2.0 ** -j, **kw))
@@ -367,8 +367,8 @@ def test_component_and_threshold_calls_match_trace(monkeypatch):
     for algo, shared in itertools.product(algos, (False, True)):
         problem = CountingRidge(base.X, base.y, base.lam)
         iterates[:] = [np.zeros(5)]
-        cfg = _cfg(algo, eta=0.05, k=3, zo=zo, budget=600, seed=4, m=3, p=2,
-                   shared_directions=shared)
+        cfg = _cfg(algo, eta=0.05, k=3, zo=replace(zo, shared_directions=shared),
+                   budget=600, seed=4, m=3, p=2)
         trace = run_solver(problem, cfg)
         assert not trace.diverged
         assert problem.calls == trace.izo > 0
@@ -501,8 +501,8 @@ def test_last_row_describes_final_theta():
     for (problem, zo, k, eta, budget), algo, shared in itertools.product(
         cases, algos, (False, True)
     ):
-        cfg = _cfg(algo, eta=eta, k=k, zo=zo, budget=budget, seed=31, m=3, p=2,
-                   shared_directions=shared)
+        cfg = _cfg(algo, eta=eta, k=k, zo=replace(zo, shared_directions=shared),
+                   budget=budget, seed=31, m=3, p=2)
         trace = run_solver(problem, cfg)
         assert not trace.diverged
         theta = trace.final_theta
@@ -654,8 +654,8 @@ def test_decomposition_deterministic_estimator_zero_variance():
 
 def test_decomposition_svrg_anchor_shared_zero_variance():
     problem = ridge_synthetic(4, 3, 0.2, spawn_stream(17, "data-gen"))
-    zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
-    shared = ZoComponentEstimator(problem, zo, spawn_stream(18, "directions"), True)
+    zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3, shared_directions=True)
+    shared = ZoComponentEstimator(problem, zo, spawn_stream(18, "directions"))
     var, _ = gradient_squared_decomposition(
         shared, np.array([0.3, -0.1, 0.0]), 200, seed=18, estimator="vr-szht"
     )
@@ -693,6 +693,7 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("q", 10.0), ("s2", 48.0), ("d", 48.0), ("k", 2.0), ("k", "2"),
     ("izo_budget", 600.0), ("m", 3.0), ("p", 2.0), ("seed", 1.5),
+    ("q", True), ("seed", True),
 ])
 def test_counts_must_be_integers(field, value):
     # refused where the config is built, not deep inside a run (a float q
@@ -730,9 +731,8 @@ def test_sarah_thresholds_every_inner_step():
 
 def test_shared_directions_runs_and_is_deterministic():
     problem = ridge_synthetic(5, 4, 0.2, spawn_stream(24, "data-gen"))
-    zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4)
-    cfg = _cfg("vr-szht", eta=0.05, k=2, zo=zo, budget=1500, seed=25, m=3,
-               shared_directions=True)
+    zo = ZoEstimatorConfig(q=10, s2=4, mu=1e-4, d=4, shared_directions=True)
+    cfg = _cfg("vr-szht", eta=0.05, k=2, zo=zo, budget=1500, seed=25, m=3)
     t1, t2 = run_solver(problem, cfg), run_solver(problem, cfg)
     assert t1.rows == t2.rows
     assert expected_izo(5, t1) == t1.izo

@@ -35,9 +35,8 @@ class _FixedUniformRng:
 def _zo_estimator(problem, q=10, mu=1e-5, seed=0, shared=False):
     return ZoComponentEstimator(
         problem,
-        ZoEstimatorConfig(q=q, s2=problem.d, mu=mu, d=problem.d),
+        ZoEstimatorConfig(q=q, s2=problem.d, mu=mu, d=problem.d, shared_directions=shared),
         spawn_stream(seed, "directions"),
-        shared_directions=shared,
     )
 
 

@@ -613,8 +613,8 @@ def test_estimator_takes_directions_from_blocks(monkeypatch, n, d, s2, q):
     monkeypatch.setattr(zoht.vr, "zo_gradient", record_gradient)
     monkeypatch.setattr(zoht.vr, "sample_directions", record_sampler)
     problem = ridge_synthetic(n, d, 0.5, spawn_stream(31, "data-gen"))
-    cfg = ZoEstimatorConfig(q=q, s2=s2, mu=1e-4, d=d)
-    est = ZoComponentEstimator(problem, cfg, spawn_stream(32, "directions"), True)
+    cfg = ZoEstimatorConfig(q=q, s2=s2, mu=1e-4, d=d, shared_directions=True)
+    est = ZoComponentEstimator(problem, cfg, spawn_stream(32, "directions"))
     theta = np.zeros(d)
     for _ in range(3):
         est.estimate(1, theta)
