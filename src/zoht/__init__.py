@@ -3,7 +3,6 @@ minimization, with variance-reduced gradient estimators, executable
 convergence constants, and a reproducible benchmark harness."""
 
 from .core import FunctionOracle, spawn_stream
-from .ht import expansivity_ratio, hard_threshold
 from .solvers import (
     ALGORITHMS,
     RunTrace,
@@ -19,7 +18,7 @@ from .problems import (
     ridge_synthetic,
     surrogate_classifier,
 )
-from .zo import ZoEstimatorConfig, zo_gradient
+from .zo import ZoEstimatorConfig
 from .harness import ExperimentResult, ExperimentSpec, emit_csv, emit_svg, run_experiment
 
 __version__ = "0.1.0"

@@ -42,7 +42,7 @@ from .vr import (
     init_gradient_memory,
     memory_update,
     pm_gradient,
-    sarah_init,
+    take_snapshot as sarah_init,  # sarah-szht's own span in bench/tracer.py
     sarah_step,
     svrg_gradient,
     take_snapshot,
@@ -87,6 +87,8 @@ class SolverConfig(RunSettings):
         if self.algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm %r (known: %s)"
                              % (self.algorithm, ",".join(ALGORITHMS)))
+        if isinstance(self.eta, (bool, np.bool_)):
+            raise ValueError("eta must be a number, got %r" % self.eta)
         if not 0 <= self.eta < np.inf:
             raise ValueError("eta must be finite and >= 0, got eta=%s" % self.eta)
         if self.algorithm in ("vr-szht", "sarah-szht") and (self.m is None or self.m < 1):

@@ -265,11 +265,6 @@ def svrg_gradient(snap, theta, i_t, estimator):
     return g_theta - g_anchor + snap.anchor_grad
 
 
-# A sarah-szht epoch starts from a snapshot like a vr-szht epoch; its own
-# name keeps the two apart in bench/tracer.py's spans.
-sarah_init = take_snapshot
-
-
 def sarah_step(snap, theta, i_t, estimator):
     """One recursion step (2(q+1) IZO): the snapshot estimate g against
     the previous iterate, then the anchor moves to theta with g as its

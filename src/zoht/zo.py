@@ -53,10 +53,15 @@ class ZoEstimatorConfig:
             raise ValueError("q must be >= 1, got %d" % self.q)
         if not 1 <= self.s2 <= self.d:
             raise ValueError("need 1 <= s2 <= d, got s2=%d d=%d" % (self.s2, self.d))
+        if isinstance(self.mu, (bool, np.bool_)):
+            raise ValueError("mu must be a number, got %r" % self.mu)
         if not self.mu > 0:
             raise ValueError("mu must be positive, got %r" % self.mu)
         if not math.isfinite(self.mu):
             raise ValueError("mu must be finite, got %r" % self.mu)
+        if not isinstance(self.shared_directions, (bool, np.bool_)):
+            raise ValueError("shared_directions must be a bool, got %r"
+                             % (self.shared_directions,))
 
     @property
     def izo_per_estimate(self):

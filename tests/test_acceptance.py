@@ -31,7 +31,6 @@ from zoht.vr import (
     init_gradient_memory,
     memory_update,
     pm_gradient,
-    sarah_init,
     sarah_step,
     svrg_gradient,
     take_snapshot,
@@ -155,7 +154,7 @@ def test_criterion_04_vr_unbiasedness_and_sarah_bias():
     est = ExactComponentEstimator(problem)
     eta, k = 0.1, 2
     theta0 = np.array([0.5, -0.5, 0.25])
-    state0 = sarah_init(est, theta0)
+    state0 = take_snapshot(est, theta0)
     theta1 = hard_threshold(theta0 - eta * state0.anchor_grad, k)
     witness = 0.0
     for i1 in (0, 1):

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import zoht.harness
+import zoht.solvers
+import zoht.vr
 from zoht.core import spawn_stream
 from zoht.harness import ExperimentSpec
 from zoht.problems import ridge_synthetic
@@ -53,3 +55,18 @@ def test_every_bench_hook_sees_calls_on_a_tiny_grid(tmp_path):
     assert sorted(s for s in spans if tracer.stat(s, "calls") == 0) == []
     izo = sum(tr.izo for tr in result.traces.values())
     assert tracer.stat("problems.component", "calls", {"zo.zo_gradient"}) == izo
+
+    # Each snapshot span counts its own solver's epochs. The tiny budget gives
+    # vr-szht and sarah-szht different epoch counts, so a swap of the two
+    # spans shows.
+    assert zoht.solvers.sarah_init is zoht.vr.take_snapshot
+    epochs = {algo: 0 for algo in spec.algorithms}
+    for (algo, _, _), trace in result.traces.items():
+        epochs[algo] += trace.epochs
+    assert epochs["vr-szht"] != epochs["sarah-szht"]
+    assert tracer.stat("vr.sarah_init", "calls") == epochs["sarah-szht"]
+    assert tracer.stat("vr.take_snapshot", "calls") == epochs["vr-szht"]
+    pm_cells = sum(algo == "pm-szht" for algo, _, _ in result.traces)
+    assert tracer.stat("vr.init_gradient_memory", "calls") == pm_cells
+    nht = sum(trace.nht for trace in result.traces.values())
+    assert tracer.stat("ht.hard_threshold", "calls") == nht

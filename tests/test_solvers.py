@@ -21,7 +21,6 @@ from zoht.solvers import (
 from zoht.vr import (
     ExactComponentEstimator,
     ZoComponentEstimator,
-    sarah_init,
     svrg_gradient,
     take_snapshot,
 )
@@ -518,7 +517,7 @@ def test_sarah_hand_off_rows_describe_the_next_epoch_start(monkeypatch):
 
     def spy(est, theta):
         starts.append((est.izo, theta.copy()))
-        return sarah_init(est, theta)
+        return take_snapshot(est, theta)
 
     monkeypatch.setattr("zoht.solvers.sarah_init", spy)
     problem = ridge_synthetic(10, 5, 0.5, spawn_stream(0, "data-gen"))
@@ -685,6 +684,10 @@ def test_config_validation():
         SolverConfig(algorithm="pm-szht", eta=0.1, k=2, zo=zo, izo_budget=100, seed=0)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         SolverConfig(algorithm="szoht", eta=0.1, k=2, zo=zo, izo_budget=100, seed=-1)
+    # a bool step size would run at 1.0
+    for eta in (True, np.True_, np.False_):
+        with pytest.raises(ValueError, match="^eta must be a number, got %s$" % re.escape(repr(eta))):
+            SolverConfig(algorithm="szoht", eta=eta, k=2, zo=zo, izo_budget=100, seed=0)
     # numpy integers are integers; m and p may stay unset
     SolverConfig(algorithm="szoht", eta=0.1, k=np.int64(2), zo=zo,
                  izo_budget=np.int64(100), seed=np.uint8(0), m=None, p=None)

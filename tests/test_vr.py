@@ -14,7 +14,6 @@ from zoht.vr import (
     init_gradient_memory,
     memory_update,
     pm_gradient,
-    sarah_init,
     sarah_step,
     svrg_gradient,
     take_snapshot,
@@ -189,7 +188,7 @@ def test_sarah_step_at_same_point_with_shared_directions():
     problem = ridge_synthetic(4, 3, 0.2, spawn_stream(60, "data-gen"))
     est = _zo_estimator(problem, shared=True)
     theta = np.array([0.4, 0.0, -0.2])
-    state = sarah_init(est, theta)
+    state = take_snapshot(est, theta)
     g, new_state = sarah_step(state, theta, 1, est)
     np.testing.assert_array_equal(g, state.anchor_grad)
     np.testing.assert_array_equal(new_state.anchor, theta)
@@ -199,7 +198,7 @@ def test_sarah_single_component_telescopes():
     problem = ridge_synthetic(1, 3, 0.1, spawn_stream(61, "data-gen"), standardize=False)
     est = ExactComponentEstimator(problem)
     theta0 = np.zeros(3)
-    state = sarah_init(est, theta0)
+    state = take_snapshot(est, theta0)
     theta1 = np.array([0.3, -0.1, 0.2])
     g, _ = sarah_step(state, theta1, 0, est)
     np.testing.assert_allclose(g, problem.mean_gradient(theta1), atol=1e-12)
@@ -217,7 +216,7 @@ def test_sarah_conditional_bias_witness():
     est = ExactComponentEstimator(problem)
     eta, k = 0.1, 2
     theta0 = np.array([0.5, -0.5, 0.25])
-    state0 = sarah_init(est, theta0)
+    state0 = take_snapshot(est, theta0)
     theta1 = hard_threshold(theta0 - eta * state0.anchor_grad, k)
 
     worst = 0.0

@@ -33,6 +33,16 @@ def test_config_validation():
         ZoEstimatorConfig(q=1, s2=4, mu=0.1, d=3)
     with pytest.raises(ValueError):
         ZoEstimatorConfig(q=1, s2=1, mu=0.0, d=3)
+    # a bool radius would run at 1.0; any truthy non-bool flag would couple
+    for mu in (True, np.True_):
+        with pytest.raises(ValueError, match="^mu must be a number, got %s$" % re.escape(repr(mu))):
+            ZoEstimatorConfig(q=1, s2=1, mu=mu, d=3)
+    for flag in ("off", 1, None):
+        with pytest.raises(ValueError, match="^shared_directions must be a bool, got %s$"
+                           % re.escape(repr(flag))):
+            ZoEstimatorConfig(q=1, s2=1, mu=0.1, d=3, shared_directions=flag)
+    for flag in (False, True, np.False_, np.True_):
+        ZoEstimatorConfig(q=1, s2=1, mu=0.1, d=3, shared_directions=flag)
 
 
 def test_direction_unit_norm_and_support():
