@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime/numeric error.
 import argparse
 import sys
 
-from .core import spawn_stream
+from .core import require_numbers, spawn_stream
 from .harness import ExperimentSpec, emit_csv, emit_svg, run_experiment
 from .problems import attack_surrogate_problem, ridge_from_csv, ridge_synthetic
 from .solvers import ALGORITHMS
@@ -46,12 +46,11 @@ class _Parser(argparse.ArgumentParser):
 def _int_at_least(least, name):
     """argparse type of an integer flag that refuses values below ``least``."""
     def parse(text):
-        try:
+        try:  # int() names the token, require_numbers the flag
             value = int(text)
-        except ValueError as exc:  # int() names the token
+            require_numbers(**{name: value}, integer=True, least=least)
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        if value < least:
-            raise argparse.ArgumentTypeError("%s must be >= %d, got %d" % (name, least, value))
         return value
     return parse
 

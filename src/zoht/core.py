@@ -1,11 +1,12 @@
 """Shared numeric plumbing: seeded RNG streams, the nonzero count, the
-integer check of config counts, and the black-box finite-sum oracle.
+check of numeric settings, and the black-box finite-sum oracle.
 
 Vectors are plain 1-D float64 numpy arrays. ``nnz`` counts exact
 ``|v_i| > 0`` (hard thresholding produces exact zeros, so the sparsity
 constraint stays exactly checkable).
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -31,6 +32,7 @@ def spawn_stream(seed, stream_id):
             "unknown stream_id %r (expected one of %s)"
             % (stream_id, sorted(STREAM_IDS))
         )
+    require_numbers(seed=seed, integer=True, least=0)
     ss = np.random.SeedSequence(int(seed), spawn_key=(STREAM_IDS[stream_id],))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -48,13 +50,20 @@ def nnz(v):
     return int(np.count_nonzero(v))
 
 
-def require_integers(obj, names, optional=()):
-    """Refuse a named count of obj that is a bool or not an integer (or None, if optional)."""
-    for name in names + optional:
-        value = getattr(obj, name)
-        integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-        if not (integer or value is None and name in optional):
-            raise ValueError("%s must be an integer, got %r" % (name, value))
+def require_numbers(*, integer=False, least=None, optional=False, **values):
+    """Refuse each keyword value that is a bool, not a number (not an
+    integer, if ``integer``), not finite or below ``least``, naming it in
+    the ValueError; None passes only if ``optional``."""
+    kind, noun = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    for name, value in values.items():
+        if value is None and optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError("%s must be %s, got %r" % (name, noun, value))
+        if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+        if least is not None and value < least:
+            raise ValueError("%s must be >= %s, got %r" % (name, least, value))
 
 
 class FunctionOracle:

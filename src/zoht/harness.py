@@ -7,13 +7,12 @@ no timestamps and print floats with repr precision, so re-running a spec
 reproduces them byte for byte.
 """
 
-import numbers
 import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import RNG_DESCRIPTION
+from .core import RNG_DESCRIPTION, require_numbers
 from .solvers import RunSettings, SolverConfig, check_budget, run_solver
 from .theory import EPS_IC_TYPO_NOTE
 from .vr import BlockMemo
@@ -128,8 +127,7 @@ def run_experiment(spec, workers=1):
     next seed), since the cells of one seed draw the same direction
     stream and share its first blocks through a ``vr.BlockMemo``. Every
     output is keyed by cell or sorted, so the order changes none."""
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ValueError("workers must be an integer >= 1, got %r" % (workers,))
+    require_numbers(workers=workers, integer=True, least=1)
     cells = spec.cells()
     with BlockMemo():
         if workers > 1:

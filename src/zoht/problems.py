@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 
-from .core import FunctionOracle
+from .core import FunctionOracle, require_numbers
 
 
 class RidgeProblem(FunctionOracle):
@@ -36,10 +36,7 @@ class RidgeProblem(FunctionOracle):
             if len(bad):
                 raise ValueError("%s must be finite, got %s[%s]=%s" % (
                     name, name, ", ".join(map(str, bad[0])), values[tuple(bad[0])]))
-        if lam < 0:
-            raise ValueError("lambda must be >= 0, got lambda=%s" % lam)
-        if not math.isfinite(lam):
-            raise ValueError("lambda must be finite, got lambda=%s" % lam)
+        require_numbers(**{"lambda": lam}, least=0)
         X.flags.writeable = False
         y.flags.writeable = False
         self.X = X

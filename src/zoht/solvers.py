@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import nnz, require_integers, spawn_stream
+from .core import nnz, require_numbers, spawn_stream
 from .ht import hard_threshold
 from .vr import (
     LAW_P_SAGA,
@@ -68,7 +68,8 @@ class RunSettings:
     law: str = LAW_P_SAGA          # memory update-set law (pm)
 
     def __post_init__(self):
-        require_integers(self, ("k", "izo_budget"), optional=("m", "p"))
+        require_numbers(k=self.k, izo_budget=self.izo_budget, integer=True)
+        require_numbers(m=self.m, p=self.p, integer=True, optional=True)
         if not 0 <= self.k <= self.zo.d:
             raise ValueError("need 0 <= k <= d, got k=%s d=%s" % (self.k, self.zo.d))
         if self.law not in UPDATE_LAWS:
@@ -83,20 +84,15 @@ class SolverConfig(RunSettings):
 
     def __post_init__(self):
         super().__post_init__()
-        require_integers(self, ("seed",))
+        require_numbers(seed=self.seed, integer=True, least=0)
+        require_numbers(eta=self.eta, least=0)
         if self.algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm %r (known: %s)"
                              % (self.algorithm, ",".join(ALGORITHMS)))
-        if isinstance(self.eta, (bool, np.bool_)):
-            raise ValueError("eta must be a number, got %r" % self.eta)
-        if not 0 <= self.eta < np.inf:
-            raise ValueError("eta must be finite and >= 0, got eta=%s" % self.eta)
         if self.algorithm in ("vr-szht", "sarah-szht") and (self.m is None or self.m < 1):
             raise ValueError("%s needs m >= 1, got m=%s" % (self.algorithm, self.m))
         if self.algorithm == "pm-szht" and self.p is None:
             raise ValueError("pm-szht needs the memory update rate p")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0, got %d" % self.seed)
 
 
 @dataclass
@@ -341,8 +337,7 @@ def gradient_squared_decomposition(source, theta, samples, seed, estimator="szoh
     theta, so sarah-szht draws exactly as vr-szht does. Refused below 100
     samples.
     """
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
+    require_numbers(samples=samples, integer=True, least=100)
     theta = np.asarray(theta, dtype=np.float64)
     oracle = source.oracle
     idx_rng = spawn_stream(seed, "indices")

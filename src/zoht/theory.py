@@ -15,7 +15,7 @@ or not the run used the constant.
 import math
 from dataclasses import dataclass
 
-from .core import require_integers
+from .core import require_numbers
 
 EPS_IC_TYPO_NOTE = "eps_Ic uses (d-1) denominator (misprint correction)"
 
@@ -33,20 +33,17 @@ class TheoryParams:
     p: int = None   # memory update rate, where applicable
 
     def __post_init__(self):
-        require_integers(self, ("d", "n", "q", "s2", "k", "kstar"), optional=("p",))
+        require_numbers(d=self.d, s2=self.s2, k=self.k, kstar=self.kstar, integer=True)
+        require_numbers(n=self.n, q=self.q, integer=True, least=1)
+        require_numbers(p=self.p, integer=True, optional=True)
+        require_numbers(rho_minus=self.rho_minus, rho_plus=self.rho_plus)
         if not 1 <= self.s2 <= self.d:
             raise ValueError("need 1 <= s2 <= d, got s2=%s d=%s" % (self.s2, self.d))
         if self.kstar < 0 or self.k < self.kstar:
             raise ValueError("need k >= kstar >= 0, got k=%s kstar=%s" % (self.k, self.kstar))
-        for name in ("rho_minus", "rho_plus"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError("%s must be finite, got %r" % (name, value))
         if not (self.rho_plus >= self.rho_minus > 0):
             raise ValueError("need rho_plus >= rho_minus > 0, got rho_plus=%s rho_minus=%s"
                              % (self.rho_plus, self.rho_minus))
-        if self.q < 1 or self.n < 1:
-            raise ValueError("q and n must be >= 1, got q=%s n=%s" % (self.q, self.n))
         if self.p is not None and not 1 <= self.p <= self.n:
             raise ValueError("need 1 <= p <= n, got p=%d n=%d" % (self.p, self.n))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import require_integers
+from .core import require_numbers
 
 # Reject smoothing radii small enough for the forward difference to be
 # dominated by rounding noise.
@@ -48,17 +48,12 @@ class ZoEstimatorConfig:
     shared_directions: bool = False  # a VR pair reuses one direction set
 
     def __post_init__(self):
-        require_integers(self, ("q", "s2", "d"))
-        if self.q < 1:
-            raise ValueError("q must be >= 1, got %d" % self.q)
-        if not 1 <= self.s2 <= self.d:
+        require_numbers(q=self.q, s2=self.s2, d=self.d, integer=True, least=1)
+        require_numbers(mu=self.mu)
+        if self.s2 > self.d:
             raise ValueError("need 1 <= s2 <= d, got s2=%d d=%d" % (self.s2, self.d))
-        if isinstance(self.mu, (bool, np.bool_)):
-            raise ValueError("mu must be a number, got %r" % self.mu)
         if not self.mu > 0:
             raise ValueError("mu must be positive, got %r" % self.mu)
-        if not math.isfinite(self.mu):
-            raise ValueError("mu must be finite, got %r" % self.mu)
         if not isinstance(self.shared_directions, (bool, np.bool_)):
             raise ValueError("shared_directions must be a bool, got %r"
                              % (self.shared_directions,))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zoht.core import FunctionOracle, nnz, random_subset, spawn_stream
+from zoht.core import FunctionOracle, nnz, random_subset, require_numbers, spawn_stream
 
 
 def test_vector_helpers():
@@ -25,6 +25,42 @@ def test_streams_are_independent():
     a = spawn_stream(7, "directions").standard_normal(100)
     b = spawn_stream(7, "indices").standard_normal(100)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("value, kw, message", [
+    (3, dict(integer=True, least=1), None),
+    (np.int64(3), dict(integer=True, least=3), None),
+    (np.uint8(0), dict(integer=True, least=0), None),
+    (2, {}, None),
+    (0.5, dict(least=0), None),
+    (np.float32(-0.0), dict(least=0), None),
+    (None, dict(optional=True), None),
+    (None, dict(integer=True, optional=True), None),
+    (True, dict(integer=True), "x must be an integer, got %r"),
+    (np.True_, dict(integer=True), "x must be an integer, got %r"),
+    (True, {}, "x must be a number, got %r"),
+    (np.True_, {}, "x must be a number, got %r"),
+    ("1", dict(integer=True), "x must be an integer, got %r"),
+    ("1", {}, "x must be a number, got %r"),
+    (None, dict(integer=True), "x must be an integer, got %r"),
+    (None, {}, "x must be a number, got %r"),
+    (1.0, dict(integer=True), "x must be an integer, got %r"),
+    (1j, {}, "x must be a number, got %r"),
+    (float("nan"), {}, "x must be finite, got %r"),
+    (np.float64("inf"), dict(least=0), "x must be finite, got %r"),
+    (-float("inf"), {}, "x must be finite, got %r"),
+    (-0.5, dict(least=0), "x must be >= 0, got %r"),
+    (99, dict(integer=True, least=100), "x must be >= 100, got %r"),
+], ids=["int", "np-int", "np-uint8", "int-as-number", "float", "np-float32", "none-optional",
+        "none-optional-int", "bool-int", "np-bool-int", "bool", "np-bool", "str-int", "str",
+        "none-int", "none", "float-int", "complex", "nan", "inf", "-inf", "below-0", "below-100"])
+def test_require_numbers_refuses_naming_the_field(value, kw, message):
+    if message is None:
+        require_numbers(x=value, **kw)
+        return
+    with pytest.raises(ValueError) as exc:
+        require_numbers(ok=1000, x=value, **kw)
+    assert str(exc.value) == message % (value,)
 
 
 def test_unknown_stream_rejected():

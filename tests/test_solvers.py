@@ -2,12 +2,13 @@ import gc
 import itertools
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from zoht.core import FunctionOracle, nnz, spawn_stream
+from zoht.harness import ExperimentSpec
 from zoht.ht import hard_threshold
 from zoht.problems import RidgeProblem, attack_surrogate_problem, ridge_synthetic
 from zoht.solvers import (
@@ -18,6 +19,7 @@ from zoht.solvers import (
     gradient_squared_decomposition,
     run_solver,
 )
+from zoht.theory import TheoryParams
 from zoht.vr import (
     ExactComponentEstimator,
     ZoComponentEstimator,
@@ -664,7 +666,7 @@ def test_decomposition_svrg_anchor_shared_zero_variance():
 def test_decomposition_refuses_few_samples():
     problem = ridge_synthetic(4, 3, 0.2, spawn_stream(19, "data-gen"))
     zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^samples must be >= 100, got 99$"):
         gradient_squared_decomposition(_zo_source(problem, zo, 20), np.zeros(3), 99, seed=20)
 
 
@@ -697,16 +699,59 @@ def test_config_validation():
     ("q", 10.0), ("s2", 48.0), ("d", 48.0), ("k", 2.0), ("k", "2"),
     ("izo_budget", 600.0), ("m", 3.0), ("p", 2.0), ("seed", 1.5),
     ("q", True), ("seed", True),
+    ("spawn_stream:seed", 1.7), ("spawn_stream:seed", True), ("spawn_stream:seed", "4"),
+    ("decomposition:seed", 1.5), ("decomposition:samples", 100.5),
+    ("decomposition:samples", "200"),
 ])
 def test_counts_must_be_integers(field, value):
     # refused where the config is built, not deep inside a run (a float q
-    # ran until numpy refused it; a float budget printed truncated)
+    # ran until numpy refused it; a float budget printed truncated), and
+    # where a stream is spawned (a float seed ran truncated)
+    call, _, name = field.rpartition(":")
     zo_kw = dict(q=10, s2=48, mu=1e-3, d=48)
     cfg_kw = dict(algorithm="pm-szht", eta=0.01, k=2, izo_budget=600, seed=1, m=3, p=2)
-    (zo_kw if field in zo_kw else cfg_kw)[field] = value
+    dec_kw = dict(samples=100, seed=1)
+    (dec_kw if call else zo_kw if name in zo_kw else cfg_kw)[name] = value
     with pytest.raises(ValueError, match="^%s must be an integer, got %s$"
-                       % (field, re.escape(repr(value)))):
-        SolverConfig(zo=ZoEstimatorConfig(**zo_kw), **cfg_kw)
+                       % (name, re.escape(repr(value)))):
+        if call == "spawn_stream":
+            spawn_stream(value, "indices")
+        elif call == "decomposition":
+            problem = ridge_synthetic(4, 3, 0.2, spawn_stream(19, "data-gen"))
+            zo = ZoEstimatorConfig(q=5, s2=3, mu=1e-4, d=3)
+            gradient_squared_decomposition(_zo_source(problem, zo, 20), np.zeros(3), **dec_kw)
+        else:
+            SolverConfig(zo=ZoEstimatorConfig(**zo_kw), **cfg_kw)
+
+
+@pytest.mark.parametrize("cls", [ZoEstimatorConfig, SolverConfig, ExperimentSpec, TheoryParams])
+def test_every_numeric_field_refuses_bools_strings_and_nan(cls):
+    # every int or float field goes through core.require_numbers, so a
+    # bool is not read as 1, a string does not fail deep inside a check,
+    # and a real field is finite
+    problem = ridge_synthetic(4, 4, 0.2, spawn_stream(0, "data-gen"))
+    zo = ZoEstimatorConfig(q=5, s2=4, mu=1e-3, d=4)
+    valid = {
+        ZoEstimatorConfig: dict(q=5, s2=4, mu=1e-3, d=4),
+        SolverConfig: dict(algorithm="pm-szht", eta=0.01, k=2, zo=zo, izo_budget=600,
+                           seed=1, m=3, p=2),
+        ExperimentSpec: dict(problem=problem, algorithms=["szoht"], eta_grid=[0.01],
+                             seeds=[1], k=2, zo=zo, izo_budget=600, m=3, p=2),
+        TheoryParams: dict(d=5, n=10, q=200, s2=5, k=3, kstar=1, rho_minus=0.5,
+                           rho_plus=2.0, p=1),
+    }[cls]
+    cls(**valid)
+    numeric = [f for f in fields(cls) if f.type in (int, float)]
+    assert numeric
+    for f in numeric:
+        noun = "an integer" if f.type is int else "a number"
+        bad = [(True, "must be %s" % noun), ("1", "must be %s" % noun)]
+        if f.type is float:
+            bad.append((float("nan"), "must be finite"))
+        for value, rule in bad:
+            with pytest.raises(ValueError, match="^%s$" % re.escape(
+                    "%s %s, got %r" % (f.name, rule, value))):
+                cls(**dict(valid, **{f.name: value}))
 
 
 @pytest.mark.parametrize("bad, text", [
