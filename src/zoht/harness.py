@@ -15,7 +15,7 @@ import numpy as np
 from .core import RNG_DESCRIPTION, require_numbers
 from .solvers import RunSettings, SolverConfig, check_budget, run_solver
 from .theory import EPS_IC_TYPO_NOTE
-from .vr import BlockMemo
+from .vr import BlockMemo, ZoComponentEstimator
 
 SVG_FLOOR = 1e-16
 
@@ -37,6 +37,7 @@ class ExperimentSpec(RunSettings):
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ValueError("%s repeats an entry: %s" % (name, values))
+        ZoComponentEstimator(self.problem, self.zo, None)  # refuses zo.d != problem.d, as a run would
         self.cells()
 
     def cells(self):

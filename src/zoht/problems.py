@@ -111,8 +111,8 @@ def ridge_synthetic(n, d, lam, rng, sparse_kstar=None, standardize=True):
     the generating model the instance's ``minimizer``: standardized
     instances carry none, since it fits the raw columns, not theirs.
     """
-    if n < 1 or d < 1:
-        raise ValueError("need n, d >= 1, got n=%s d=%s" % (n, d))
+    require_numbers(n=n, d=d, integer=True, least=1)
+    require_numbers(sparse_kstar=sparse_kstar, integer=True, optional=True)
     directions = rng.standard_normal((n, d))
     directions /= np.linalg.norm(directions, axis=1)[:, None]
     radii = rng.uniform(size=n) ** (1.0 / d)
@@ -258,11 +258,14 @@ class CwAttackProblem(FunctionOracle):
             raise ValueError("need num_classes >= 2, got %s" % (num_classes,))
         if not ((images >= PIXEL_LO) & (images <= PIXEL_HI)).all():
             raise ValueError("images must lie in [%g, %g]" % (PIXEL_LO, PIXEL_HI))
-        labels = np.array(labels, dtype=np.intp)
+        labels = np.array(labels)
         if labels.shape != (images.shape[0],):
             raise ValueError("labels must be (n,)")
-        if np.any(labels < 0) or np.any(labels >= classifier.num_classes):
+        require_numbers(integer=True, least=0,
+                        **{"labels[%d]" % i: v for i, v in enumerate(labels.tolist())})
+        if labels.max() >= num_classes:
             raise ValueError("label out of range")
+        labels = labels.astype(np.intp)
         # component pops the true class and takes the max of the rest, so a
         # short output would misread or lose a class on every probe.
         got = np.size(classifier.log_probs(images[0].copy()))
@@ -311,10 +314,8 @@ class CwAttackProblem(FunctionOracle):
 def attack_surrogate_problem(n, d_image, num_classes, rng):
     """Random images labeled by the surrogate's own prediction, so every
     hinge starts at the classifier's decision margin (> 0 generically)."""
-    if num_classes < 2:
-        raise ValueError("need num_classes >= 2, got %d" % num_classes)
-    if d_image < 1:
-        raise ValueError("need d >= 1 pixels, got d=%d" % d_image)
+    require_numbers(n=n, d=d_image, integer=True, least=1)
+    require_numbers(num_classes=num_classes, integer=True, least=2)
     classifier = surrogate_classifier(d_image, num_classes, rng)
     images = rng.uniform(PIXEL_LO, PIXEL_HI, size=(n, d_image))
     labels = np.array(

@@ -70,3 +70,11 @@ def test_every_bench_hook_sees_calls_on_a_tiny_grid(tmp_path):
     assert tracer.stat("vr.init_gradient_memory", "calls") == pm_cells
     nht = sum(trace.nht for trace in result.traces.values())
     assert tracer.stat("ht.hard_threshold", "calls") == nht
+
+    # Each building block has one import path: zoht.vr binds no sarah_init
+    # (the solvers' name for take_snapshot), and the top level binds the
+    # variance diagnostic but none of the blocks.
+    assert not hasattr(zoht.vr, "sarah_init")
+    assert zoht.gradient_squared_decomposition is zoht.solvers.gradient_squared_decomposition
+    for name in ("zo_gradient", "hard_threshold", "expansivity_ratio"):
+        assert not hasattr(zoht, name), name

@@ -8,12 +8,13 @@ import pytest
 from zoht.cli import main
 from zoht.core import spawn_stream
 from zoht.problems import RidgeProblem, attack_surrogate_problem, ridge_synthetic
-from zoht.solvers import SolverConfig
+from zoht.solvers import SolverConfig, check_budget
 from zoht.theory import (
     TheoryParams,
     alpha,
     epsilon_constants,
     pm_eta_interval,
+    sarah_eta_interval,
     vrszht_eta_interval,
 )
 from zoht.zo import ZoEstimatorConfig
@@ -80,10 +81,10 @@ _THEORY_ARGV = ["check-theory", "--d", "5", "--n", "10", "--q", "200", "--s2", "
                 "--rho-plus", "2.0", "--rho-minus", "0.5"]
 
 
-def _solver_config(algorithm="szoht", eta=0.01, k=3, m=10):
+def _solver_config(algorithm="szoht", eta=0.01, k=3, m=10, p=None):
     zo = ZoEstimatorConfig(q=200, s2=5, mu=1e-4, d=5)
     return SolverConfig(algorithm=algorithm, eta=eta, k=k, zo=zo, izo_budget=3000,
-                        seed=1, m=m)
+                        seed=1, m=m, p=p)
 
 
 @pytest.mark.parametrize("argv, refuse, message", [
@@ -95,12 +96,15 @@ def _solver_config(algorithm="szoht", eta=0.01, k=3, m=10):
      "eta must be finite, got inf"),
     (["ridge-synthetic", "--algos", "vr-szht", "--m", "0"],
      lambda: _solver_config(algorithm="vr-szht", m=0), "vr-szht needs m >= 1, got m=0"),
+    (["ridge-synthetic", "--algos", "pm-szht", "--p", "11"],
+     lambda: check_budget(10, _solver_config(algorithm="pm-szht", p=11)),
+     "pm-szht needs 1 <= p <= n, got p=11 n=10"),
     (["ridge-synthetic", "--n", "0"],
      lambda: ridge_synthetic(0, 5, 0.5, spawn_stream(0, "data-gen")),
-     "need n, d >= 1, got n=0 d=5"),
+     "n must be >= 1, got 0"),
     (["attack-surrogate", "--d", "0"],
      lambda: attack_surrogate_problem(4, 0, 10, spawn_stream(0, "data-gen")),
-     "need d >= 1 pixels, got d=0"),
+     "d must be >= 1, got 0"),
     (["ridge-synthetic", "--lambda", "-1"], lambda: RidgeProblem(np.eye(2), np.ones(2), -1.0),
      "lambda must be >= 0, got -1.0"),
     (["ridge-synthetic", "--lambda", "nan"],
@@ -128,9 +132,9 @@ def _solver_config(algorithm="szoht", eta=0.01, k=3, m=10):
      lambda: TheoryParams(d=5, n=10, q=200, s2=5, k=3, kstar=1, rho_minus=float("inf"),
                           rho_plus=float("inf")),
      "rho_minus must be finite, got inf"),
-], ids=["k", "eta", "eta-inf", "m", "n", "attack-d", "lambda", "lambda-nan", "lambda-bool",
-        "lambda-str", "mu-inf", "kstar", "theory-q", "theory-n", "theory-rho-plus-inf",
-        "theory-rho-inf"])
+], ids=["k", "eta", "eta-inf", "m", "pm-p", "n", "attack-d", "lambda", "lambda-nan",
+        "lambda-bool", "lambda-str", "mu-inf", "kstar", "theory-q", "theory-n",
+        "theory-rho-plus-inf", "theory-rho-inf"])
 def test_refusal_names_the_value_it_got(tmp_path, capsys, argv, refuse, message):
     with pytest.raises(ValueError) as exc:
         refuse()
@@ -141,6 +145,7 @@ def test_refusal_names_the_value_it_got(tmp_path, capsys, argv, refuse, message)
         argv = argv + ["--budget", "3000", "--seeds", "1", "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "out").exists()  # a refused run writes nothing
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
@@ -214,6 +219,9 @@ def test_check_theory_matches_module(capsys):
     assert float(values["eps_mu"]) == pytest.approx(eps.eps_mu, rel=1e-8)
     _, rec = vrszht_eta_interval(tp)
     assert float(values["vr-szht recommended eta"]) == pytest.approx(rec, rel=1e-8)
+    sarah = sarah_eta_interval(tp)
+    assert not sarah.nonempty
+    assert values["sarah-szht eta interval"] == "EMPTY  (discriminant %.9g)" % sarah.discriminant
 
 
 def test_check_theory_without_alpha_prints_no_eta_interval(capsys):

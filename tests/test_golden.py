@@ -1,6 +1,7 @@
 """Golden outputs as a contract: the CLI's CSV bodies and meta.txt, and a
 library digest of run_solver, regenerated now and compared with the files
-``tests/golden/make_golden.py`` wrote.
+``tests/golden/make_golden.py`` wrote; and the counts the README's library
+sketch prints.
 
 The strict test is byte-equal. Bytes are pinned on one platform (README:
 traces reproduce bit for bit on one platform), so it skips unless numpy's
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+README = os.path.join(os.path.dirname(GOLDEN), os.pardir, "README.md")
 RTOL = 1e-12
 
 _spec = importlib.util.spec_from_file_location(
@@ -83,7 +85,7 @@ def _assert_trace_close(got, want, diverged, where):
                                    err_msg=where)
 
 
-def test_golden_within_tolerance(fresh):
+def test_golden_within_tolerance(fresh, capsys):
     assert _files(fresh) == _files(GOLDEN)
     for run in sorted(os.listdir(os.path.join(GOLDEN, "cli"))):
         want_dir = os.path.join(GOLDEN, "cli", run)
@@ -109,3 +111,9 @@ def test_golden_within_tolerance(fresh):
         for field in ("izo", "nht", "diverged", "epochs", "memory_updates"):
             assert got[field] == want[field], (key, field)
         _assert_trace_close(got["rows"], want["rows"], want["diverged"], key)
+    # The README's library sketch runs on the top level's names; its izo and
+    # nht are exact on every numpy build, fval's last bits may differ.
+    readme = _read(README).decode()
+    sketch = readme.split("## Library sketch\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(sketch, {})
+    assert capsys.readouterr().out.endswith(" 78390 130\n")

@@ -19,7 +19,7 @@ from zoht.harness import (
     select_best_eta,
     step_resample,
 )
-from zoht.problems import ridge_synthetic
+from zoht.problems import attack_surrogate_problem, ridge_synthetic
 from zoht.solvers import ALGORITHMS, RunSettings, RunTrace, SolverConfig, run_solver
 from zoht.zo import ZoEstimatorConfig
 
@@ -139,6 +139,7 @@ def test_spec_runs_pm_at_p_1_unless_told():
     (dict(k=9), "need 0 <= k <= d, got k=9 d=4"),
     (dict(law="bogus"), "unknown update law 'bogus'"),
     (dict(izo_budget=900.0), "izo_budget must be an integer, got 900.0"),
+    (dict(zo=ZoEstimatorConfig(q=3, s2=3, mu=1e-4, d=3)), "oracle has d=4 but cfg.zo.d=3"),
 ])
 def test_bad_run_setting_refused_when_spec_is_built(kw, message):
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
@@ -258,17 +259,27 @@ def test_empty_trace_writes_header_only(tmp_path):
 
 
 def test_worker_pool_invariance():
-    spec = _tiny_spec(seeds=[1], eta_grid=[0.02])
-    serial = run_experiment(spec, workers=1)
-    parallel = run_experiment(spec, workers=2)
-    for key in serial.traces:
-        rows = parallel.traces[key].rows
-        assert serial.traces[key].rows == rows
-        assert list(serial.traces[key].rows) == list(rows)  # row for row
-        for row in rows:
-            assert type(row) is tuple
-            assert [type(x) for x in row] == [int, int, float, int]
-    assert serial.best_eta == parallel.best_eta
+    # zoht attack-surrogate's defaults at budget 3000, seeds 1,2 and etas
+    # 0.01,0.05: about half the steps repeat their iterate and keep the held
+    # objective value, so the pool runs that path too
+    attack = ExperimentSpec(
+        problem=attack_surrogate_problem(4, 48, 10, spawn_stream(0, "data-gen")),
+        algorithms=list(ALGORITHMS), k=6, zo=ZoEstimatorConfig(q=10, s2=48, mu=1e-3, d=48),
+        eta_grid=[0.01, 0.05], seeds=[1, 2], izo_budget=3000, m=10,
+    )
+    for spec in (_tiny_spec(seeds=[1], eta_grid=[0.02]), attack):
+        serial = run_experiment(spec, workers=1)
+        parallel = run_experiment(spec, workers=2)
+        assert list(parallel.traces) == list(serial.traces)
+        for key, trace in serial.traces.items():
+            rows = parallel.traces[key].rows
+            assert trace.rows == rows
+            assert list(trace.rows) == list(rows)  # row for row
+            assert trace.final_theta.tobytes() == parallel.traces[key].final_theta.tobytes()
+            for row in rows:
+                assert type(row) is tuple
+                assert [type(x) for x in row] == [int, int, float, int]
+        assert serial.best_eta == parallel.best_eta
 
 
 def test_pool_asks_for_no_more_workers_than_cells(monkeypatch):

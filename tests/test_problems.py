@@ -1,5 +1,6 @@
 import os
 import pickle
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,6 +52,8 @@ def test_sparse_kstar_forces_sparsity():
     for bad in (-1, 9):
         with pytest.raises(ValueError, match="^sparse_kstar out of range, got %d for d=8$" % bad):
             ridge_synthetic(10, 8, 0.0, spawn_stream(3, "data-gen"), sparse_kstar=bad)
+    with pytest.raises(ValueError, match="^sparse_kstar must be an integer, got 1.5$"):
+        ridge_synthetic(10, 8, 0.0, spawn_stream(3, "data-gen"), sparse_kstar=1.5)
 
 
 def test_standardized_instance_has_no_minimizer():
@@ -262,11 +265,28 @@ def test_attack_problem_validation():
     # A subclass that never sets num_classes keeps the class default None.
     with pytest.raises(ValueError, match="need num_classes >= 2, got None"):
         CwAttackProblem(np.zeros((2, 4)), np.array([0, 0]), BlackBoxClassifier())
-    for num_classes in (0, 1):
-        with pytest.raises(ValueError, match="num_classes >= 2"):
-            attack_surrogate_problem(4, 48, num_classes, spawn_stream(0, "data-gen"))
-    with pytest.raises(ValueError, match="n >= 1"):
-        attack_surrogate_problem(0, 48, 10, spawn_stream(0, "data-gen"))
+    # labels are class indices, so a float, bool or string is refused, not cast
+    for labels, message in (([0.7, 1.2], "labels[0] must be an integer, got 0.7"),
+                            ([True, False], "labels[0] must be an integer, got True"),
+                            (["1", "2"], "labels[0] must be an integer, got '1'"),
+                            ([0, -1], "labels[1] must be >= 0, got -1")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            CwAttackProblem(np.zeros((2, 4)), labels, classifier)
+    # the builders' counts go through core.require_numbers
+    for args, message in (((4, 48, 0), "num_classes must be >= 2, got 0"),
+                          ((4, 48, 1), "num_classes must be >= 2, got 1"),
+                          ((4, 48, 1.5), "num_classes must be an integer, got 1.5"),
+                          ((0, 48, 10), "n must be >= 1, got 0"),
+                          ((-1, 48, 10), "n must be >= 1, got -1"),
+                          ((True, 48, 10), "n must be an integer, got True"),
+                          ((4, -1, 10), "d must be >= 1, got -1")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            attack_surrogate_problem(*args, spawn_stream(0, "data-gen"))
+    for args, message in (((2.5, 3, 0.5), "n must be an integer, got 2.5"),
+                          ((True, 3, 0.5), "n must be an integer, got True"),
+                          ((4, 0, 0.5), "d must be >= 1, got 0")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            ridge_synthetic(*args, spawn_stream(0, "data-gen"))
     with pytest.raises(ValueError, match="n >= 1"):
         RidgeProblem(np.zeros((0, 4)), np.zeros(0), 0.1)
     with pytest.raises(ValueError, match=r"^need d >= 1 features, got d=0$"):
@@ -274,8 +294,6 @@ def test_attack_problem_validation():
     with pytest.raises(ValueError, match=r"^need d >= 1 pixels, got d=0$"):
         CwAttackProblem(np.zeros((2, 0)), np.array([0, 1]), surrogate_classifier(
             0, 3, spawn_stream(12, "data-gen")))
-    with pytest.raises(ValueError, match=r"^need d >= 1 pixels, got d=-1$"):
-        attack_surrogate_problem(4, -1, 10, spawn_stream(0, "data-gen"))
     with pytest.raises(ValueError, match=r"X must be finite, got X\[0, 0\]=nan"):
         RidgeProblem([[np.nan, 1], [1, 2]], [1, np.inf], 0.1)
     with pytest.raises(ValueError, match=r"y must be finite, got y\[1\]=inf"):
