@@ -130,19 +130,19 @@ def run_experiment(spec, workers=1):
     output is keyed by cell or sorted, so the order changes none."""
     require_numbers(workers=workers, integer=True, least=1)
     cells = spec.cells()
-    with BlockMemo():
-        if workers > 1:
-            # Imported here: a serial run needs no multiprocessing. Fork
-            # starts all max_workers processes at the first submit, so ask
-            # for no more than there are cells.
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(cells)),
-                initializer=_init_worker,
-                initargs=(spec.problem,),
-            ) as pool:
-                outs = list(pool.map(_run_cell, cells.values()))
-        else:
+    if workers > 1:
+        # Imported here: a serial run needs no multiprocessing. Fork
+        # starts all max_workers processes at the first submit, so ask
+        # for no more than there are cells. Each worker opens its own memo.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(cells)),
+            initializer=_init_worker,
+            initargs=(spec.problem,),
+        ) as pool:
+            outs = list(pool.map(_run_cell, cells.values()))
+    else:
+        with BlockMemo():
             outs = [run_solver(spec.problem, cfg) for cfg in cells.values()]
     traces = dict(zip(cells, outs))
 

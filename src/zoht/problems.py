@@ -12,7 +12,20 @@ import numpy as np
 from .core import FunctionOracle, require_numbers
 
 
-class RidgeProblem(FunctionOracle):
+class _ReadOnlyArrays:
+    """Holds the arrays named in ``_read_only`` read-only: ``_freeze`` at
+    construction, and again on unpickling, which hands back writeable copies."""
+
+    def _freeze(self):
+        for name in self._read_only:
+            getattr(self, name).flags.writeable = False
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._freeze()
+
+
+class RidgeProblem(_ReadOnlyArrays, FunctionOracle):
     """f_i(theta) = (x_i . theta - y_i)^2 + (lam/2) ||theta||^2.
 
     Exact per-component gradients 2 (x_i . theta - y_i) x_i + lam * theta
@@ -23,6 +36,7 @@ class RidgeProblem(FunctionOracle):
     ``_rows`` holds the rows of X as views, one ``X[i]`` fewer per call;
     pickles leave it out, as each view would pickle a copy of its row.
     """
+    _read_only = ("X", "y")
 
     def __init__(self, X, y, lam, theta_star=None):
         X = np.array(X, dtype=np.float64)
@@ -37,11 +51,9 @@ class RidgeProblem(FunctionOracle):
                 raise ValueError("%s must be finite, got %s[%s]=%s" % (
                     name, name, ", ".join(map(str, bad[0])), values[tuple(bad[0])]))
         require_numbers(**{"lambda": lam}, least=0)
-        X.flags.writeable = False
-        y.flags.writeable = False
-        self.X = X
+        self.X, self.y = X, y
+        self._freeze()
         self._rows = tuple(X)
-        self.y = y
         self._y = tuple(y.tolist())
         self.lam = float(lam)
         self._half_lam = 0.5 * self.lam
@@ -52,7 +64,8 @@ class RidgeProblem(FunctionOracle):
         return {k: v for k, v in self.__dict__.items() if k != "_rows"}
 
     def __setstate__(self, state):
-        self.__dict__.update(state, _rows=tuple(state["X"]))
+        super().__setstate__(state)
+        self._rows = tuple(self.X)
 
     # ``a.dot(b)`` is the same BLAS ddot as ``a @ b`` on 1-D float64
     # arrays, with half the call overhead; Python floats give the same
@@ -203,14 +216,15 @@ class BlackBoxClassifier:
         raise NotImplementedError
 
 
-class LinearSoftmaxClassifier(BlackBoxClassifier):
+class LinearSoftmaxClassifier(_ReadOnlyArrays, BlackBoxClassifier):
     """Fixed random-weight linear scorer with log-softmax outputs. The
     weights and bias are read-only copies in the caller's memory layout."""
+    _read_only = ("weights", "bias")
 
     def __init__(self, weights, bias):
         self.weights = np.array(weights, dtype=np.float64)
         self.bias = np.array(bias, dtype=np.float64)
-        self.weights.flags.writeable = self.bias.flags.writeable = False
+        self._freeze()
         self.num_classes = self.weights.shape[0]
 
     def log_probs(self, x):
@@ -236,7 +250,7 @@ def surrogate_classifier(d_image, num_classes, rng):
     return LinearSoftmaxClassifier(weights, bias)
 
 
-class CwAttackProblem(FunctionOracle):
+class CwAttackProblem(_ReadOnlyArrays, FunctionOracle):
     """Universal sparse-perturbation objective: for each image,
     f_i(theta) = max(F_true(clip(x_i + theta)) - max_other F_j(...), 0).
 
@@ -246,6 +260,7 @@ class CwAttackProblem(FunctionOracle):
     ``component`` is the attack loss f_i: it clips through
     ``attacked_image`` and computes the hinge itself.
     """
+    _read_only = ("images", "labels")
 
     def __init__(self, images, labels, classifier):
         images = np.array(images, dtype=np.float64)
@@ -264,7 +279,8 @@ class CwAttackProblem(FunctionOracle):
         require_numbers(integer=True, least=0,
                         **{"labels[%d]" % i: v for i, v in enumerate(labels.tolist())})
         if labels.max() >= num_classes:
-            raise ValueError("label out of range")
+            i = int(np.argmax(labels >= num_classes))
+            raise ValueError("labels[%d] must be < %d, got %d" % (i, num_classes, labels[i]))
         labels = labels.astype(np.intp)
         # component pops the true class and takes the max of the rest, so a
         # short output would misread or lose a class on every probe.
@@ -272,10 +288,8 @@ class CwAttackProblem(FunctionOracle):
         if got != num_classes:
             raise ValueError("classifier returned %d log-probs for num_classes=%d"
                              % (got, num_classes))
-        images.flags.writeable = False
-        labels.flags.writeable = False
-        self.images = images
-        self.labels = labels
+        self.images, self.labels = images, labels
+        self._freeze()
         self._labels = labels.tolist()
         self.classifier = classifier
         self.n, self.d = images.shape

@@ -9,21 +9,21 @@ keep the k largest-magnitude coordinates. Five estimators are wired in:
   sarah-szht  snapshot anchor moved to every new iterate (SARAH family;
               recursive, so biased after the first step)
 
-Every run starts at theta = 0, and every step thresholds (1 NHT). A
-single estimate costs q+1 IZO (q probes plus one shared base value), a
-full estimate n(q+1), a coupled pair 2(q+1). Every run ends by checking
-that identity (``expected_izo``) and that every recorded iterate is
-k-sparse. Trace function values are measured through the uncounted oracle
-handle (no IZO charge).
+Every run starts at theta = 0, and every step thresholds (1 NHT). Work
+is counted in component estimates: a full estimate is n of them, a
+coupled pair 2, and each costs q+1 IZO (q probes plus one shared base
+value). Every run ends by checking its IZO against ``expected_izo``'s own
+closed form and that every recorded iterate is k-sparse. Trace function
+values are measured through the uncounted oracle handle (no IZO charge).
 
-The budget is a ceiling: a unit of work starts only if its whole IZO cost
-fits in what is left. A unit is one step (a pm-szht step with the refresh
-set it drew), except that a vr-szht epoch starts only if its snapshot and
-one inner pair fit, and a sarah-szht epoch if its full pass does (its first
-step reuses it). ``check_budget`` refuses, before any query, a pm-szht p
-outside [1, n] and a budget below the least one: n(q+1), plus 2(q+1) for
-vr-szht or (J_max+1)(q+1) for pm-szht (J_max = p under p-saga, n under
-svrg-variant), so every run takes a step.
+The budget is a ceiling: a unit of work starts only if the IZO of all its
+estimates fit in what is left. A unit is one step (a pm-szht step with the
+refresh set it drew), except that a vr-szht epoch starts only if its
+snapshot and one inner pair fit, and a sarah-szht epoch if its full pass
+does (its first step reuses it). ``check_budget`` refuses, before any
+query, a pm-szht p outside [1, n] and a budget below the least one: n
+estimates, plus 2 for vr-szht or J_max+1 for pm-szht (J_max = p under
+p-saga, n under svrg-variant), so every run takes a step.
 """
 
 import math
@@ -133,15 +133,15 @@ def check_budget(oracle_n, cfg):
     """Raise ValueError if pm-szht's p is outside [1, n], or if
     cfg.izo_budget is below the solver's least budget (module docstring),
     which pays for its first step."""
-    unit = cfg.zo.izo_per_estimate
-    least = oracle_n * unit
+    least = oracle_n
     if cfg.algorithm == "vr-szht":
-        least += 2 * unit
+        least += 2
     elif cfg.algorithm == "pm-szht":
         if not 1 <= cfg.p <= oracle_n:
             raise ValueError("pm-szht needs 1 <= p <= n, got p=%s n=%d" % (cfg.p, oracle_n))
         j_max = cfg.p if cfg.law == LAW_P_SAGA else oracle_n
-        least += (j_max + 1) * unit
+        least += j_max + 1
+    least *= cfg.zo.izo_per_estimate
     if cfg.izo_budget < least:
         raise ValueError(
             "izo_budget %d below %s's least budget, %d IZO"
@@ -187,9 +187,10 @@ class _Run:
         cols["nnz"].append(nnz(self.theta))
         return True
 
-    def fits(self, cost):
-        """Whether a unit of work costing ``cost`` IZO may start: the run
-        has not diverged and the unit fits in what is left of the budget."""
+    def fits(self, estimates):
+        """Whether a unit of work making ``estimates`` component estimates
+        may start: the run has not diverged and their IZO fit in the budget left."""
+        cost = estimates * self.cfg.zo.izo_per_estimate
         return not self.trace.diverged and self.est.izo + cost <= self.cfg.izo_budget
 
     def sample_index(self):
@@ -207,27 +208,25 @@ class _Run:
         self.trace.diverged = not self._record()
 
     def _szoht(self):
-        """One uniformly random component estimate per iteration (q+1 IZO,
-        1 NHT)."""
-        while self.fits(self.cfg.zo.izo_per_estimate):
+        """One uniformly random component estimate per iteration (1 NHT)."""
+        while self.fits(1):
             i = self.sample_index()
             self.descend(self.est.estimate(i, self.theta))
 
     def _fgzoht(self):
-        """Full zeroth-order gradient per iteration (n(q+1) IZO, 1 NHT)."""
-        while self.fits(self.oracle.n * self.cfg.zo.izo_per_estimate):
+        """Full zeroth-order gradient per iteration (n estimates, 1 NHT)."""
+        while self.fits(self.oracle.n):
             self.descend(self.est.full(self.theta).mean(axis=0))
 
     def _pm_szht(self):
         """Memory-table solver: refresh a random row set, then take one
-        three-term step. Init fills the table with a full pass (n(q+1) IZO);
-        each iteration costs (|J|+1)(q+1) IZO and 1 NHT, and the run ends at
+        three-term step. Init fills the table with a full pass (n estimates);
+        each iteration makes |J|+1 estimates and 1 NHT, and the run ends at
         the first drawn J whose iteration does not fit."""
-        unit = self.cfg.zo.izo_per_estimate
         mem = init_gradient_memory(self.est, self.theta, self.cfg.p, self.cfg.law)
         while True:
             chosen = draw_update_set(mem, self.mem_rng)
-            if not self.fits((len(chosen) + 1) * unit):
+            if not self.fits(len(chosen) + 1):
                 break
             memory_update(mem, self.theta, self.est, chosen)
             self.trace.memory_updates += len(chosen)
@@ -236,33 +235,31 @@ class _Run:
 
     def _vr_szht(self):
         """Snapshot solver: refresh the anchor full gradient each epoch
-        (n(q+1) IZO), then m inner steps of 2(q+1) IZO and 1 NHT each. The
+        (n estimates), then m inner steps of 2 estimates and 1 NHT each. The
         next anchor is the last inner iterate. An epoch starts only if its
         snapshot and one inner step fit."""
-        pair = 2 * self.cfg.zo.izo_per_estimate
-        while self.fits(self.oracle.n * self.cfg.zo.izo_per_estimate + pair):
+        while self.fits(self.oracle.n + 2):
             snap = take_snapshot(self.est, self.theta)
             self.trace.epochs += 1
             for _ in range(self.cfg.m):
-                if not self.fits(pair):
+                if not self.fits(2):
                     break
                 i = self.sample_index()
                 self.descend(svrg_gradient(snap, self.theta, i, self.est))
 
     def _sarah_szht(self):
-        """Recursive-difference solver. Each epoch: full estimate (n(q+1)
-        IZO), a first step reusing it, then m-1 recursion steps of 2(q+1)
-        IZO. The epoch output is the iterate at a uniformly random inner
-        index, and the row at the epoch's end izo shows it."""
-        pair = 2 * self.cfg.zo.izo_per_estimate
-        while self.fits(self.oracle.n * self.cfg.zo.izo_per_estimate):
+        """Recursive-difference solver. Each epoch: full estimate (n
+        estimates), a first step reusing it, then m-1 recursion steps of 2
+        estimates. The epoch output is the iterate at a uniformly random
+        inner index, and the row at the epoch's end izo shows it."""
+        while self.fits(self.oracle.n):
             snap = sarah_init(self.est, self.theta)
             self.trace.epochs += 1
             epoch_iterates = [(self.theta, self.fval)]
             self.descend(snap.anchor_grad)
             epoch_iterates.append((self.theta, self.fval))
             for _ in range(1, self.cfg.m):
-                if not self.fits(pair):
+                if not self.fits(2):
                     break
                 i = self.sample_index()
                 grad, snap = sarah_step(snap, self.theta, i, self.est)

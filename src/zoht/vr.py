@@ -112,8 +112,8 @@ class BlockMemo:
     draws its own blocks. ``states[k]`` is the generator's state before
     block k and ``states[k + 1]`` after it.
 
-    ``with BlockMemo():`` (``harness.run_experiment``) opens the memo; exit
-    closes it and drops its blocks. A pool worker opens one for life.
+    ``with BlockMemo():`` (a serial ``harness.run_experiment``) opens the
+    memo; exit closes it and drops its blocks. A pool worker opens its own for life.
     """
 
     def __init__(self):

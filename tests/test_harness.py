@@ -1,8 +1,11 @@
+import functools
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -258,7 +261,7 @@ def test_empty_trace_writes_header_only(tmp_path):
     assert Path(raw).read_text() == "izo,nht,fval,nnz\n"
 
 
-def test_worker_pool_invariance():
+def test_worker_pool_invariance(monkeypatch):
     # zoht attack-surrogate's defaults at budget 3000, seeds 1,2 and etas
     # 0.01,0.05: about half the steps repeat their iterate and keep the held
     # objective value, so the pool runs that path too
@@ -267,7 +270,12 @@ def test_worker_pool_invariance():
         algorithms=list(ALGORITHMS), k=6, zo=ZoEstimatorConfig(q=10, s2=48, mu=1e-3, d=48),
         eta_grid=[0.01, 0.05], seeds=[1, 2], izo_budget=3000, m=10,
     )
-    for spec in (_tiny_spec(seeds=[1], eta_grid=[0.02]), attack):
+    tiny = _tiny_spec(seeds=[1], eta_grid=[0.02])
+    # The platform's start method, then spawn: its workers unpickle the
+    # problem and run _init_worker in a fresh interpreter.
+    spawn = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    for spec, pool in ((tiny, ProcessPoolExecutor), (attack, ProcessPoolExecutor), (tiny, spawn)):
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool)
         serial = run_experiment(spec, workers=1)
         parallel = run_experiment(spec, workers=2)
         assert list(parallel.traces) == list(serial.traces)
@@ -303,9 +311,16 @@ def test_pool_asks_for_no_more_workers_than_cells(monkeypatch):
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(harness, "_worker_problem", None)
+    # No with closes the memo the in-process worker opens; undo restores it.
+    monkeypatch.setattr(vr, "_memo", None)
     spec = _tiny_spec(algorithms=["szoht"], eta_grid=[0.02], seeds=[1, 2])
     assert len(run_experiment(spec, workers=10**6).traces) == 2
     assert asked == [2]
+    # The worker's own memo is the only one: its cells draw each of a
+    # seed's three blocks once (every cell would draw its own without it).
+    calls = _counting_sampler(monkeypatch)
+    run_experiment(_memo_spec(40, 6), workers=2)
+    assert len(calls) == 3 * 2
 
 
 def test_divergent_cell_not_fatal():

@@ -252,7 +252,7 @@ def test_attack_problem_validation():
     nan_pixel[1, 2] = np.nan
     with pytest.raises(ValueError, match=r"images must lie in \[-0.5, 0.5\]"):
         CwAttackProblem(nan_pixel, np.array([0, 1]), classifier)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^labels\[1\] must be < 3, got 5$"):
         CwAttackProblem(np.zeros((2, 4)), np.array([0, 5]), classifier)
     for labels in ([0, 1, 1], [[0], [1]]):
         with pytest.raises(ValueError, match=r"^labels must be \(n,\)$"):
@@ -425,10 +425,14 @@ def test_linear_classifier_keeps_read_only_copies():
         weights *= 2.0
         bias += 1.0
         assert classifier.log_probs(x).tobytes() == want.tobytes()
-        with pytest.raises(ValueError):
-            classifier.weights[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            classifier.bias[0] = 1.0
+        # a pickled copy, as a spawn or forkserver pool worker gets one
+        for kept in (classifier, pickle.loads(pickle.dumps(classifier))):
+            assert kept.weights.flags.f_contiguous == weights.flags.f_contiguous
+            assert kept.log_probs(x).tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                kept.weights[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                kept.bias[0] = 1.0
 
 
 def test_ridge_component_bits_match_reference():
@@ -493,10 +497,18 @@ def test_ridge_pickles_to_the_same_bits_and_carries_x_once():
 
 def test_ridge_data_is_read_only():
     problem = ridge_synthetic(4, 3, 0.5, spawn_stream(17, "data-gen"))
-    with pytest.raises(ValueError):
-        problem.X[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        problem.y[0] = 1.0
+    # A pickled copy too: component reads the cached _y and mean_value
+    # reads y, so a write to the copy's y would split the two.
+    for kept in (problem, pickle.loads(pickle.dumps(problem))):
+        with pytest.raises(ValueError, match="read-only"):
+            kept.X[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            kept.y[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            kept._rows[0][0] = 1.0
+    # an array a subclass adds is left as it was
+    tagged = _TaggedRidge(problem.X, problem.y, 0.5, np.zeros(2))
+    pickle.loads(pickle.dumps(tagged)).tag[0] = 1.0
 
 
 def test_ridge_ignores_later_writes_to_caller_arrays():
@@ -522,3 +534,8 @@ def test_cw_attack_ignores_later_writes_to_caller_arrays():
     images[:] = 7.0  # outside the pixel box the constructor checks
     labels[:] = 5    # no such class
     assert [_bits(problem.component(i, theta)) for i in range(3)] == before
+    # the copies stay read-only, also in a pickled copy of the problem
+    for kept in (problem, pickle.loads(pickle.dumps(problem))):
+        assert [_bits(kept.component(i, theta)) for i in range(3)] == before
+        for array in (kept.images, kept.labels, kept.classifier.weights, kept.classifier.bias):
+            assert not array.flags.writeable
